@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint pytest bench bench-json search-demo profile
+.PHONY: test lint pytest bench bench-json search-demo profile perf
 
 # Tier-1 verification: lint (when available) + the unit/integration
 # suite (benchmarks are opt-in).
@@ -50,3 +50,10 @@ search-demo:
 # diurnal campaign with telemetry on and print the stage breakdown.
 profile:
 	$(PYTHON) examples/telemetry_report.py
+
+# The layered benchmark (six campaigns, end to end and per layer, with
+# golden-record, oracle-replay and causality checks) plus its toy-size
+# smoke test: the speed and parity gate for simulator changes.
+perf:
+	python3 benchmarks/perf/run.py
+	$(PYTHON) -m pytest benchmarks/perf -q

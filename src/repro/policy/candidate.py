@@ -17,6 +17,7 @@ cache row, in either direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
@@ -49,9 +50,10 @@ class PolicyCandidate:
             raise ConfigurationError(
                 f"not a control policy: {self.policy!r}"
             )
-        if self.control_interval_s <= 0:
+        interval = self.control_interval_s
+        if not (math.isfinite(interval) and interval > 0):
             raise ConfigurationError(
-                f"control interval must be > 0, got {self.control_interval_s}"
+                f"control interval must be finite and > 0, got {interval}"
             )
         if not self.label:
             object.__setattr__(

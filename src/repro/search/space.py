@@ -38,6 +38,7 @@ available.  All randomness flows through a caller-provided
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -219,9 +220,10 @@ class SearchSpace:
         if self._candidates is not None and not self._candidates:
             raise ConfigurationError("the candidate list is empty")
         self.policy_axis = self._policy_axis(policies)
-        if control_interval_s <= 0:
+        if not (math.isfinite(control_interval_s) and control_interval_s > 0):
             raise ConfigurationError(
-                f"control interval must be > 0, got {control_interval_s}"
+                "control interval must be finite and > 0, got "
+                f"{control_interval_s}"
             )
         self.control_interval_s = control_interval_s
         self._enumerated: list[DesignCandidate] | None = None

@@ -1,28 +1,40 @@
-"""The fluid simulation engine.
+"""The fluid simulation engine: one serial event loop.
 
 :class:`ClusterSimulator` advances simulated time from event to event.
 Between events the rate of every live flow is constant (computed by the
 max-min fair allocator), so per-node CPU utilization — and therefore power —
 is piecewise constant and energy integrates exactly.
 
-Events are: a job becoming ready (its start time), a flow completing, and a
-phase barrier releasing the next phase of a job.
+The loop's own events are a job arriving, a flow completing, and a phase
+barrier releasing the next phase of a job.  Two optional *event sources*
+add their next time to the same horizon:
 
-With a dynamic :class:`~repro.policy.policies.ControlPolicy` attached
-(``run(jobs, policy=...)``), two more event kinds interleave: periodic
-*control ticks*, at which the policy observes the cluster and may gate or
-wake nodes or step their DVFS factors, and *power-state transitions*
-(gating -> gated, waking -> active) completing.  Nodes then carry a power
-state — ``active`` (normal), ``gating``/``waking`` (transitioning: no
-capacity, near-peak transition power), ``gated`` (off: no capacity,
-standby residual power) — and a job whose flows demand an inactive node is
-*held* at arrival until every node it needs is active again, so wake-up
-latency shows up in its response time exactly where a production cluster
-would pay it.
+* **control ticks** — with a dynamic
+  :class:`~repro.policy.policies.ControlPolicy` (``run(jobs, policy=...)``)
+  the policy observes the cluster every ``control_interval_s`` and may gate
+  or wake nodes or step their DVFS factors;
+* **the fault timeline** — with a non-empty
+  :class:`~repro.faults.schedule.FaultSchedule` (``run(jobs, faults=...)``)
+  node crashes and recoveries, straggler and network-degrade windows, and
+  the retry queue of crash-killed jobs waiting out their backoff.
+
+A source that is absent contributes nothing to the horizon and costs
+nothing per event, so a healthy run takes exactly the steps of the plain
+fluid loop.
+
+Every node lives in one state machine: a power state — ``active``
+(normal), ``gating``/``waking`` (transitioning: no capacity, near-peak
+transition power), ``gated`` (off, by policy or by crash: no capacity,
+standby residual power) — times a policy-set DVFS factor and a straggler
+fault multiplier.  A job whose flows demand an inactive node is *held* at
+arrival until every node it needs is active again, so wake-up and
+recovery latency show up in its response time exactly where a production
+cluster would pay it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -223,99 +235,470 @@ class ClusterSimulator:
 
         ``policy`` optionally puts a
         :class:`~repro.policy.policies.ControlPolicy` in charge of node
-        power states and per-node DVFS, consulted every
-        ``control_interval_s`` simulated seconds.  ``None`` and *static*
-        policies (``policy.is_static``) take the exact uncontrolled loop
-        below — no tick events, no interval splits — so their results are
-        bit-identical to the historical ones; dynamic policies dispatch
-        to :meth:`_run_controlled`.
+        power states and per-node DVFS.  A *dynamic* policy adds the
+        control-tick source: every ``control_interval_s`` simulated seconds
+        (finite and > 0) it observes the cluster and may gate or wake nodes
+        or step their DVFS factors.  ``None`` and *static* policies
+        (``policy.is_static``) add no source.
 
-        ``faults`` optionally injects a
-        :class:`~repro.faults.schedule.FaultSchedule` of node crashes,
-        stragglers, and network degrades; ``failure_policy`` governs the
-        jobs a crash kills, and ``layout`` (a
-        :class:`~repro.pstore.replication.ReplicatedLayout`) makes a
-        crash that strands every copy of a partition fatal.  A ``None``
-        or *empty* schedule leaves this method on the exact healthy
-        paths — fault-free runs are bit-identical to historical ones;
-        any scheduled event dispatches to :meth:`_run_faulted`.
+        ``faults`` optionally adds a
+        :class:`~repro.faults.schedule.FaultSchedule` as the fault source:
+
+        * a :class:`~repro.faults.schedule.NodeCrash` is a *forced gated
+          transition with zero notice* — the node drops to the failure
+          policy's standby residual instantly, and every in-flight job
+          that owns it is killed and re-queued after a backoff or shed per
+          ``failure_policy`` (a
+          :class:`~repro.faults.schedule.FailurePolicy`, abort-and-retry
+          by default); recovery is a priced waking transition whose energy
+          lands in ``recovery_energy_j``;
+        * a :class:`~repro.faults.schedule.Straggler` multiplies the
+          node's DVFS factor (capacity *and* power scale, like thermal
+          throttling);
+        * a :class:`~repro.faults.schedule.NetworkDegrade` scales the
+          network capacities in max-min fair allocation.
+
+        Fault node indices wrap modulo the cluster size (ring semantics,
+        matching chained declustering), so one scenario spans designs of
+        different sizes.  With a ``layout`` (a
+        :class:`~repro.pstore.replication.ReplicatedLayout`), a crash that
+        strands every copy of a partition raises
+        :class:`~repro.errors.SimulationError` — the candidate is
+        infeasible under the scenario; without one, jobs stranded by a
+        never-recovering node are dropped and the trace continues.
+
+        An absent source (no dynamic policy; a ``None`` or empty schedule)
+        adds nothing to the horizon and no work per event, and a pending
+        one splits no step until it fires — so healthy runs take exactly
+        the historical steps and stay bit-identical.  A policy that never
+        wakes the nodes a held job needs stalls the run into the
+        ``max_events`` guard.
         """
         self._validate(jobs)
-        if faults is not None and getattr(faults, "events", ()):
-            return self._run_faulted(
-                jobs, policy, control_interval_s, max_events,
-                faults, failure_policy, layout,
-            )
-        if policy is not None and not policy.is_static:
-            return self._run_controlled(
-                jobs, policy, control_interval_s, max_events
+        dynamic = policy is not None and not policy.is_static
+        if dynamic:
+            if not (math.isfinite(control_interval_s) and control_interval_s > 0):
+                raise SimulationError(
+                    "control interval must be finite and > 0, got "
+                    f"{control_interval_s}"
+                )
+            # Imported here, not at module top: repro.policy.candidate
+            # pulls in the search package, which imports this module.
+            from repro.policy.policies import (
+                ClusterState,
+                GateNode,
+                SetFrequency,
+                UngateNode,
             )
 
-        time_s = 0.0
-        job_phase = [0] * len(jobs)
-        phase_live_count = [0] * len(jobs)
+            model = policy.power_state_model()
+            roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
+        timeline = self._fault_timeline(faults)
+        if timeline and failure_policy is None:
+            from repro.faults.schedule import FailurePolicy
+
+            failure_policy = FailurePolicy()
+        fault_model = failure_policy.transitions if timeline else None
+
+        num_jobs = len(jobs)
+        # Arrival order over a cursor: pop(0) on a list is O(n) per
+        # admission, which turns long traces quadratic.  The inf sentinel
+        # ends every arrival scan.
+        order = sorted(range(num_jobs), key=lambda i: jobs[i].start_time_s)
+        arrivals = [jobs[i].start_time_s for i in order] + [math.inf]
+        cursor = 0
+        job_phase = [0] * num_jobs
+        phase_live_count = [0] * num_jobs
         job_start: dict[str, float] = {}
         job_completion: dict[str, float] = {}
-        # Arrival order over a cursor: pop(0) on a list is O(n) per
-        # admission, which turns long traces quadratic.
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
-        cursor = 0
         live: list[_LiveFlow] = []
+        held: list[int] = []  # arrived or retried, waiting on inactive nodes
+        dropped: list[str] = []
+        # Trace jobs share phase tuples (template interning), so the
+        # demanded-node set is computed once per distinct template.
+        node_sets: dict[int, frozenset[int]] = {}
 
+        # The node-state machine: power state x DVFS factor x fault
+        # multiplier.  ``down`` and ``until`` shadow ``state`` so the loop's
+        # guards are O(1): no node down means direct admission, no
+        # transition in flight means no completion scan, and ``effective``
+        # stays None (plain allocation) while every factor is 1.0.
         num_nodes = self.pool.num_nodes
+        specs = [self.pool.node_spec(n) for n in range(num_nodes)]
+        state = [ACTIVE] * num_nodes
+        down: set[int] = set()  # nodes not active
+        until: dict[int, float] = {}  # in-flight transition -> its end
+        factors = [1.0] * num_nodes  # policy-set DVFS
+        fault_mult = [1.0] * num_nodes  # straggler slowdowns
+        effective: list[float] | None = None
+        net_mult = 1.0
+        crashed: dict[int, float] = {}  # node -> recovery time (inf = never)
+        recovering: set[int] = set()  # crash recoveries still booting
+
         node_energy = [0.0] * num_nodes
         intervals: list[Interval] = []
-        events = 0
+        gated_seconds = 0.0
+        energy_saved = 0.0
+        recovery_energy = 0.0
 
-        while cursor < len(order) or live:
-            events += 1
-            if events > max_events:
-                raise SimulationError(f"exceeded {max_events} events; simulation stalled?")
+        def set_state(node: int, new: str, end: float = math.inf) -> None:
+            state[node] = new
+            if new == ACTIVE:
+                down.discard(node)
+            else:
+                down.add(node)
+            if end < math.inf:
+                until[node] = end
+            else:
+                until.pop(node, None)
 
-            # Admit every job whose start time has arrived.
-            while (
-                cursor < len(order)
-                and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
-            ):
-                index = order[cursor]
-                cursor += 1
-                # The admission window extends _COMPLETION_EPS past now, so
-                # clamp: a job must never be recorded as starting before it
-                # arrived (that would bias queueing delay negative).
-                job_start[jobs[index].name] = max(time_s, jobs[index].start_time_s)
-                self._advance_job(
-                    jobs, index, 0, live, phase_live_count, job_phase,
-                    time_s, job_completion,
+        def rescale() -> None:
+            nonlocal effective
+            scaled = [f * m for f, m in zip(factors, fault_mult)]
+            effective = scaled if any(s != 1.0 for s in scaled) else None
+
+        def needed_nodes(index: int) -> frozenset[int]:
+            key = id(jobs[index].phases)
+            nodes = node_sets.get(key)
+            if nodes is None:
+                nodes = node_sets[key] = self._job_nodes(jobs[index])
+            return nodes
+
+        def admit(index: int, phase: int = 0) -> None:
+            self._advance_job(
+                jobs, index, phase, live, phase_live_count, job_phase,
+                time_s, job_completion,
+            )
+
+        def drop_job(index: int) -> None:
+            dropped.append(jobs[index].name)
+            job_phase[index] = None
+            phase_live_count[index] = 0
+
+        def integrate(rates: Sequence[float], bindings, dt: float) -> None:
+            """Per-state energy over one piecewise-constant stretch."""
+            nonlocal gated_seconds, energy_saved, recovery_energy
+            if dt <= 0:
+                return
+            cpu_rates = self._cpu_rates(live, rates)
+            utils = []
+            powers = []
+            for node_id, spec in enumerate(specs):
+                if node_id not in down:
+                    if effective is not None:
+                        spec = self._dvfs_spec(node_id, effective[node_id])
+                    util = spec.utilization(cpu_rates[node_id])
+                    watts = spec.power_model.power(util)
+                else:
+                    util = 0.0
+                    if node_id in crashed:
+                        # The failure model's standby residual.  No savings
+                        # credit: a crash is not a policy decision.
+                        watts = fault_model.gated_power_w(spec)
+                    elif node_id in recovering:
+                        watts = (
+                            fault_model.transition_power_fraction
+                            * spec.peak_power_w
+                        )
+                        recovery_energy += watts * dt
+                    else:
+                        if state[node_id] == GATED:
+                            watts = model.gated_power_w(spec)
+                            gated_seconds += dt
+                        else:  # policy-driven gating or waking
+                            watts = (
+                                model.transition_power_fraction
+                                * spec.peak_power_w
+                            )
+                        energy_saved += (spec.idle_power_w - watts) * dt
+                utils.append(util)
+                powers.append(watts)
+                node_energy[node_id] += watts * dt
+            if self.record_intervals:
+                intervals.append(
+                    Interval(
+                        start_s=time_s,
+                        end_s=time_s + dt,
+                        node_utilization=tuple(utils),
+                        node_power_w=tuple(powers),
+                        flow_names=tuple(flow.spec.name for flow in live),
+                        flow_bindings=tuple(bindings),
+                        flow_jobs=tuple(flow.job_name for flow in live),
+                    )
                 )
 
-            if not live:
-                if cursor < len(order):
-                    # Idle gap until the next arrival: the cluster still
-                    # draws engine-idle power (relevant for the delayed-
-                    # execution studies of Section 2's citations).
-                    next_start = jobs[order[cursor]].start_time_s
-                    gap = next_start - time_s
-                    self._integrate([], [], [], time_s, gap, node_energy, intervals)
-                    time_s = next_start
+        # ------------------------------------------------ fault source
+        fault_cursor = 0
+        next_fault_s = timeline[0][0] if timeline else math.inf
+        stragglers: dict[int, list] = {}
+        degrades: list = []
+        survived = 0
+        retried = 0
+        attempts = [0] * num_jobs
+        retry_ready: list[tuple[float, int]] = []  # (ready time, job) heap
+
+        def apply_due_faults() -> None:
+            nonlocal fault_cursor, next_fault_s, net_mult, survived, retried
+            nonlocal live
+            while next_fault_s <= time_s + _COMPLETION_EPS:
+                _, kind, event = timeline[fault_cursor]
+                fault_cursor += 1
+                next_fault_s = (
+                    timeline[fault_cursor][0]
+                    if fault_cursor < len(timeline)
+                    else math.inf
+                )
+                if kind in ("net-on", "net-off"):
+                    if kind == "net-on":
+                        survived += 1
+                        degrades.append(event)
+                    elif event in degrades:
+                        degrades.remove(event)
+                    net_mult = (
+                        math.prod(d.factor for d in degrades) if degrades else 1.0
+                    )
                     continue
-                break
+                node = event.node % num_nodes
+                if kind == "crash":
+                    survived += 1
+                    prior = crashed.get(node)
+                    crashed[node] = (
+                        event.recover_at_s
+                        if prior is None
+                        else max(prior, event.recover_at_s)
+                    )
+                    # Whatever state the node was in, it is off *now*.
+                    set_state(node, GATED)
+                    recovering.discard(node)
+                    if layout is not None:
+                        layout.require_coverage(
+                            [n for n in range(num_nodes) if n not in crashed],
+                            context=f"after node {node} crashed at t={time_s:g}s",
+                        )
+                    # Kill every in-flight job that owns the dead node — a
+                    # running job owns every node any of its phases demands.
+                    victims = sorted(
+                        {
+                            flow.job_index
+                            for flow in live
+                            if node in needed_nodes(flow.job_index)
+                        }
+                    )
+                    if not victims:
+                        continue
+                    victim_set = set(victims)
+                    live = [f for f in live if f.job_index not in victim_set]
+                    for index in victims:
+                        phase_live_count[index] = 0
+                        job_phase[index] = 0  # progress is lost
+                        if (
+                            failure_policy.retries_enabled
+                            and attempts[index] < failure_policy.max_retries
+                        ):
+                            attempts[index] += 1
+                            retried += 1
+                            backoff = failure_policy.backoff_delay_s(
+                                jobs[index].name, attempts[index]
+                            )
+                            heapq.heappush(retry_ready, (time_s + backoff, index))
+                        else:
+                            drop_job(index)
+                elif kind == "recover":
+                    # A later crash may have extended the outage; only the
+                    # recovery that reaches the scheduled time revives.
+                    if crashed.get(node, math.inf) <= time_s + _COMPLETION_EPS:
+                        del crashed[node]
+                        if fault_model.boot_s > 0:
+                            set_state(node, WAKING, time_s + fault_model.boot_s)
+                            recovering.add(node)
+                        else:
+                            set_state(node, ACTIVE)
+                else:  # straggle-on / straggle-off
+                    group = stragglers.setdefault(node, [])
+                    if kind == "straggle-on":
+                        survived += 1
+                        group.append(event)
+                    elif event in group:
+                        group.remove(event)
+                    fault_mult[node] = (
+                        math.prod(s.slowdown for s in group) if group else 1.0
+                    )
+                    rescale()
 
-            rates, bindings = self._allocate(live)
+        # ------------------------------------------- control-tick source
+        next_tick_s = control_interval_s if dynamic else math.inf
+        last_busy_s = 0.0
+        ticks = 0
+        gate_actions = 0
+        ungate_actions = 0
+        freq_actions = 0
 
-            # Next event: earliest flow completion or job admission.
-            dt = math.inf
+        def control_tick() -> None:
+            """The policy observes and acts.
+
+            Invalid actions — gating a node that live flows demand, waking
+            a node that is not gated — are dropped: the controller races
+            the cluster.  A crashed node can be neither gated (it is not
+            active) nor woken (rebooting is the nemesis's call).
+            """
+            nonlocal next_tick_s, ticks, gate_actions, ungate_actions
+            nonlocal freq_actions
+            ticks += 1
+            rates = self._allocate(live, effective, net_mult)[0] if live else []
+            cpu_rates = self._cpu_rates(live, rates)
+            loads = tuple(
+                min(
+                    1.0,
+                    cpu_rates[n]
+                    / (
+                        specs[n].cpu_bandwidth_mbps
+                        * (1.0 if effective is None else effective[n])
+                    ),
+                )
+                if state[n] == ACTIVE
+                else 0.0
+                for n in range(num_nodes)
+            )
+            snapshot = ClusterState(
+                time_s=time_s,
+                node_roles=roles,
+                node_states=tuple(state),
+                node_utilization=loads,
+                frequency_factors=tuple(factors),
+                queue_depth=len({flow.job_index for flow in live}) + len(held),
+                held_jobs=len(held),
+                idle_s=time_s - last_busy_s,
+            )
+            # A running job owns every node any of its phases demands —
+            # gating one mid-job would strand a later phase.
+            demanded = frozenset(
+                node for flow in live for node in needed_nodes(flow.job_index)
+            )
+            stepped = False
+            for action in policy.observe(snapshot):
+                if isinstance(action, GateNode):
+                    node = action.node_id
+                    if (
+                        0 <= node < num_nodes
+                        and state[node] == ACTIVE
+                        and node not in demanded
+                    ):
+                        gate_actions += 1
+                        if model.shutdown_s > 0:
+                            set_state(node, GATING, time_s + model.shutdown_s)
+                        else:
+                            set_state(node, GATED)
+                elif isinstance(action, UngateNode):
+                    node = action.node_id
+                    if (
+                        0 <= node < num_nodes
+                        and state[node] == GATED
+                        and node not in crashed
+                    ):
+                        ungate_actions += 1
+                        if model.boot_s > 0:
+                            set_state(node, WAKING, time_s + model.boot_s)
+                        else:
+                            set_state(node, ACTIVE)
+                elif isinstance(action, SetFrequency):
+                    if 0 <= action.node_id < num_nodes:
+                        freq_actions += 1
+                        factors[action.node_id] = action.frequency_factor
+                        stepped = True
+                else:
+                    raise SimulationError(f"unknown control action: {action!r}")
+            if stepped:
+                rescale()
+            while next_tick_s <= time_s + _COMPLETION_EPS:
+                next_tick_s += control_interval_s
+
+        # ------------------------------------------------------- the loop
+        time_s = 0.0
+        events = 0
+        while cursor < num_jobs or live or held or retry_ready:
+            events += 1
+            if events > max_events:
+                raise SimulationError(
+                    f"exceeded {max_events} events; simulation stalled?"
+                )
+
+            # Sources with something due fire; the rest cost one test each.
+            if until:
+                for node in [
+                    n for n, end in until.items() if end <= time_s + _COMPLETION_EPS
+                ]:
+                    set_state(node, GATED if state[node] == GATING else ACTIVE)
+                    recovering.discard(node)
+            if next_fault_s <= time_s + _COMPLETION_EPS:
+                apply_due_faults()
+            while retry_ready and retry_ready[0][0] <= time_s + _COMPLETION_EPS:
+                held.append(heapq.heappop(retry_ready)[1])
+
+            # Arrivals.  A job "starts" when it arrives — clamped, because
+            # the admission window extends _COMPLETION_EPS past now — so
+            # time held waiting for nodes is queueing delay, not erased.
+            # New arrivals queue behind held jobs to keep arrival order.
+            while arrivals[cursor] <= time_s + _COMPLETION_EPS:
+                index = order[cursor]
+                cursor += 1
+                job_start[jobs[index].name] = max(time_s, jobs[index].start_time_s)
+                if down or held:
+                    held.append(index)
+                else:
+                    admit(index)
+            # Held jobs whose nodes are all active admit; ones stranded by
+            # a node that never returns are shed.
+            if held:
+                waiting: list[int] = []
+                for index in held:
+                    if not down or needed_nodes(index).isdisjoint(down):
+                        admit(index)
+                    elif crashed and any(
+                        crashed.get(n) == math.inf for n in needed_nodes(index)
+                    ):
+                        drop_job(index)
+                    else:
+                        waiting.append(index)
+                held = waiting
+
+            if live or held:
+                last_busy_s = time_s
+            if next_tick_s <= time_s + _COMPLETION_EPS:
+                control_tick()
+
+            horizon = min(arrivals[cursor], next_tick_s, next_fault_s)
+            if until:
+                horizon = min(horizon, min(until.values()))
+            if retry_ready:
+                horizon = min(horizon, retry_ready[0][0])
+
+            if not live:
+                if cursor >= num_jobs and not held and not retry_ready:
+                    break  # trailing transitions and faults don't extend the run
+                if horizon == math.inf:
+                    raise SimulationError(
+                        "simulation stalled: jobs are waiting on nodes that "
+                        "will never become active"
+                    )
+                # Idle until the next event: the cluster still draws idle
+                # power, and ticks still fire (that is when gating happens,
+                # and how held jobs get their nodes woken).
+                integrate([], [], horizon - time_s)
+                time_s = max(time_s, horizon)
+                continue
+
+            rates, bindings = self._allocate(live, effective, net_mult)
+            dt = horizon - time_s
             for flow, rate in zip(live, rates):
                 if rate > 0:
                     dt = min(dt, flow.remaining_mb / rate)
-            if cursor < len(order):
-                dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
             if not math.isfinite(dt) or dt < 0:
                 raise SimulationError(
-                    "simulation stalled: live flows have zero rate and no pending events"
+                    "simulation stalled: live flows have zero rate and no "
+                    "pending events"
                 )
 
-            self._integrate(live, rates, bindings, time_s, dt, node_energy, intervals)
-
+            integrate(rates, bindings, dt)
             for flow, rate in zip(live, rates):
                 flow.remaining_mb -= rate * dt
             time_s += dt
@@ -330,896 +713,28 @@ class ClusterSimulator:
                     touched_jobs.add(flow.job_index)
                 for index in touched_jobs:
                     if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
-
-        # Hot-loop accounting stays in the local ``events`` counter and
-        # flushes once per run, so the disabled path costs two calls here.
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count("sim.runs")
-            telemetry.count("sim.events", events)
-        return SimulationResult(
-            makespan_s=time_s,
-            energy_j=sum(node_energy),
-            node_energy_j=tuple(node_energy),
-            job_start_s=job_start,
-            job_completion_s=job_completion,
-            intervals=intervals,
-        )
-
-    # ------------------------------------------------------- controlled loop
-    def _run_controlled(
-        self,
-        jobs: Sequence[Job],
-        policy,
-        control_interval_s: float,
-        max_events: int,
-    ) -> SimulationResult:
-        """The policy-driven event loop: ticks, power states, held jobs.
-
-        Differences from :meth:`run`: a control tick fires every
-        ``control_interval_s`` (the policy observes and acts); nodes move
-        through the active/gating/gated/waking state machine priced by the
-        policy's :class:`~repro.hardware.powerstate.PowerStateModel`; and
-        an arriving job is *held* — ``job_start_s`` stays its arrival —
-        until every node its flows demand is active, so wake-up latency
-        lands in its response time.  A policy that never wakes the nodes a
-        held job needs stalls the run into the ``max_events`` guard.
-        """
-        # Imported here, not at module top: repro.policy.candidate pulls
-        # in the search package, which transitively imports this module.
-        from repro.policy.policies import (
-            ClusterState,
-            GateNode,
-            SetFrequency,
-            UngateNode,
-        )
-
-        if control_interval_s <= 0:
-            raise SimulationError(
-                f"control interval must be > 0, got {control_interval_s}"
-            )
-        model = policy.power_state_model()
-
-        num_nodes = self.pool.num_nodes
-        roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
-        node_state = [ACTIVE] * num_nodes
-        transition_end = [math.inf] * num_nodes
-        factors = [1.0] * num_nodes
-        node_energy = [0.0] * num_nodes
-        gated_seconds = 0.0
-        energy_saved = 0.0
-        intervals: list[Interval] = []
-
-        time_s = 0.0
-        job_phase = [0] * len(jobs)
-        phase_live_count = [0] * len(jobs)
-        job_start: dict[str, float] = {}
-        job_completion: dict[str, float] = {}
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
-        cursor = 0
-        live: list[_LiveFlow] = []
-        held: list[int] = []
-        # Trace jobs share phase tuples (template interning), so the
-        # demanded-node set is computed once per distinct template.
-        node_sets: dict[int, frozenset[int]] = {}
-
-        def needed_nodes(index: int) -> frozenset[int]:
-            key = id(jobs[index].phases)
-            nodes = node_sets.get(key)
-            if nodes is None:
-                nodes = node_sets[key] = self._job_nodes(jobs[index])
-            return nodes
-
-        def integrate(rates: Sequence[float], dt: float) -> None:
-            """Per-state energy over one piecewise-constant stretch."""
-            nonlocal gated_seconds, energy_saved
-            if dt <= 0:
-                return
-            cpu_rates = [0.0] * num_nodes
-            for flow, rate in zip(live, rates):
-                for resource, coef in flow.spec.demands.items():
-                    kind, _, node = resource.partition(":")
-                    if kind == CPU:
-                        cpu_rates[int(node)] += coef * rate
-            utils = []
-            powers = []
-            for node_id in range(num_nodes):
-                spec = self.pool.node_spec(node_id)
-                state = node_state[node_id]
-                if state == ACTIVE:
-                    effective = self._dvfs_spec(node_id, factors[node_id])
-                    util = effective.utilization(cpu_rates[node_id])
-                    watts = effective.power_model.power(util)
-                else:
-                    util = 0.0
-                    if state == GATED:
-                        watts = model.gated_power_w(spec)
-                        gated_seconds += dt
-                    else:  # gating or waking
-                        watts = (
-                            model.transition_power_fraction * spec.peak_power_w
-                        )
-                    energy_saved += (spec.idle_power_w - watts) * dt
-                utils.append(util)
-                powers.append(watts)
-                node_energy[node_id] += watts * dt
-            if self.record_intervals:
-                intervals.append(
-                    Interval(
-                        start_s=time_s,
-                        end_s=time_s + dt,
-                        node_utilization=tuple(utils),
-                        node_power_w=tuple(powers),
-                        flow_names=tuple(flow.spec.name for flow in live),
-                        flow_bindings=tuple(bindings),
-                        flow_jobs=tuple(flow.job_name for flow in live),
-                    )
-                )
-
-        last_busy_s = 0.0
-        next_tick_s = control_interval_s
-        bindings: Sequence[str] = []
-        events = 0
-        # Telemetry accumulates in locals (plain int adds in the hot loop)
-        # and flushes once at the return below.
-        ticks = 0
-        gate_actions = 0
-        ungate_actions = 0
-        freq_actions = 0
-
-        while cursor < len(order) or live or held:
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; simulation stalled?"
-                )
-
-            # Complete power-state transitions that are due.
-            for node_id in range(num_nodes):
-                if transition_end[node_id] <= time_s + _COMPLETION_EPS:
-                    node_state[node_id] = (
-                        GATED if node_state[node_id] == GATING else ACTIVE
-                    )
-                    transition_end[node_id] = math.inf
-
-            # Take arrivals into the held queue; a job "starts" when it
-            # arrives, so time spent waiting for nodes to wake is queueing
-            # delay, not erased.
-            while (
-                cursor < len(order)
-                and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
-            ):
-                index = order[cursor]
-                cursor += 1
-                job_start[jobs[index].name] = max(
-                    time_s, jobs[index].start_time_s
-                )
-                held.append(index)
-
-            # Release held jobs whose nodes are all active, arrival order.
-            if held:
-                still_held: list[int] = []
-                for index in held:
-                    if all(
-                        node_state[n] == ACTIVE for n in needed_nodes(index)
-                    ):
-                        self._advance_job(
-                            jobs, index, 0, live, phase_live_count,
-                            job_phase, time_s, job_completion,
-                        )
-                    else:
-                        still_held.append(index)
-                held = still_held
-
-            if live or held:
-                last_busy_s = time_s
-
-            # Control tick: the policy observes and acts.  Invalid actions
-            # (gating a node that live flows demand, waking a node that is
-            # not gated) are dropped — the controller races the cluster.
-            if next_tick_s <= time_s + _COMPLETION_EPS:
-                ticks += 1
-                if live:
-                    rates, bindings = self._allocate(live, factors)
-                else:
-                    rates, bindings = [], []
-                cpu_rates = [0.0] * num_nodes
-                for flow, rate in zip(live, rates):
-                    for resource, coef in flow.spec.demands.items():
-                        kind, _, node = resource.partition(":")
-                        if kind == CPU:
-                            cpu_rates[int(node)] += coef * rate
-                loads = tuple(
-                    min(
-                        1.0,
-                        cpu_rates[n]
-                        / (
-                            self.pool.node_spec(n).cpu_bandwidth_mbps
-                            * factors[n]
-                        ),
-                    )
-                    if node_state[n] == ACTIVE
-                    else 0.0
-                    for n in range(num_nodes)
-                )
-                snapshot = ClusterState(
-                    time_s=time_s,
-                    node_roles=roles,
-                    node_states=tuple(node_state),
-                    node_utilization=loads,
-                    frequency_factors=tuple(factors),
-                    queue_depth=len({flow.job_index for flow in live})
-                    + len(held),
-                    held_jobs=len(held),
-                    idle_s=time_s - last_busy_s,
-                )
-                # A running job owns every node any of its phases demands —
-                # gating one mid-job would strand a later phase.
-                demanded = frozenset(
-                    node
-                    for flow in live
-                    for node in needed_nodes(flow.job_index)
-                )
-                for action in policy.observe(snapshot):
-                    if isinstance(action, GateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == ACTIVE
-                            and node_id not in demanded
-                        ):
-                            gate_actions += 1
-                            if model.shutdown_s > 0:
-                                node_state[node_id] = GATING
-                                transition_end[node_id] = (
-                                    time_s + model.shutdown_s
-                                )
-                            else:
-                                node_state[node_id] = GATED
-                    elif isinstance(action, UngateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == GATED
-                        ):
-                            ungate_actions += 1
-                            if model.boot_s > 0:
-                                node_state[node_id] = WAKING
-                                transition_end[node_id] = time_s + model.boot_s
-                            else:
-                                node_state[node_id] = ACTIVE
-                    elif isinstance(action, SetFrequency):
-                        if 0 <= action.node_id < num_nodes:
-                            freq_actions += 1
-                            factors[action.node_id] = action.frequency_factor
-                    else:
-                        raise SimulationError(
-                            f"unknown control action: {action!r}"
-                        )
-                while next_tick_s <= time_s + _COMPLETION_EPS:
-                    next_tick_s += control_interval_s
-
-            pending = [end for end in transition_end if math.isfinite(end)]
-
-            if not live:
-                if cursor >= len(order) and not held:
-                    break  # transitions in flight don't extend the makespan
-                targets = list(pending)
-                if cursor < len(order):
-                    targets.append(jobs[order[cursor]].start_time_s)
-                # Ticks still fire while idle: that is when gating happens
-                # (and how held jobs get their nodes woken).
-                targets.append(next_tick_s)
-                target = min(targets)
-                bindings = []
-                integrate([], target - time_s)
-                time_s = max(time_s, target)
-                continue
-
-            rates, bindings = self._allocate(live, factors)
-
-            dt = math.inf
-            for flow, rate in zip(live, rates):
-                if rate > 0:
-                    dt = min(dt, flow.remaining_mb / rate)
-            if cursor < len(order):
-                dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
-            dt = min(dt, next_tick_s - time_s)
-            for end in pending:
-                dt = min(dt, end - time_s)
-            if not math.isfinite(dt) or dt < 0:
-                raise SimulationError(
-                    "simulation stalled: live flows have zero rate and no "
-                    "pending events"
-                )
-
-            integrate(rates, dt)
-            for flow, rate in zip(live, rates):
-                flow.remaining_mb -= rate * dt
-            time_s += dt
-
-            finished = [flow for flow in live if flow.done]
-            if finished:
-                live = [flow for flow in live if not flow.done]
-                touched_jobs = set()
-                for flow in finished:
-                    phase_live_count[flow.job_index] -= 1
-                    touched_jobs.add(flow.job_index)
-                for index in touched_jobs:
-                    if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
-
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count("sim.controlled_runs")
-            telemetry.count("sim.events", events)
-            telemetry.count("sim.control.ticks", ticks)
-            telemetry.count("sim.control.gate_actions", gate_actions)
-            telemetry.count("sim.control.ungate_actions", ungate_actions)
-            telemetry.count("sim.control.freq_actions", freq_actions)
-        return SimulationResult(
-            makespan_s=time_s,
-            energy_j=sum(node_energy),
-            node_energy_j=tuple(node_energy),
-            job_start_s=job_start,
-            job_completion_s=job_completion,
-            intervals=intervals,
-            gated_node_seconds=gated_seconds,
-            energy_saved_j=energy_saved,
-        )
-
-    # ---------------------------------------------------------- faulted loop
-    def _run_faulted(
-        self,
-        jobs: Sequence[Job],
-        policy,
-        control_interval_s: float,
-        max_events: int,
-        faults,
-        failure_policy,
-        layout,
-    ) -> SimulationResult:
-        """The nemesis event loop: crashes, stragglers, degraded links.
-
-        A superset of :meth:`_run_controlled` (the control policy is
-        optional here) with a fault timeline interleaved into the event
-        horizon:
-
-        * a :class:`~repro.faults.schedule.NodeCrash` is a *forced gated
-          transition with zero notice* — the node drops to the failure
-          policy's standby residual instantly, and every in-flight job
-          that owns it is killed and re-queued or shed per the
-          :class:`~repro.faults.schedule.FailurePolicy`; recovery is a
-          priced waking transition whose energy lands in
-          ``recovery_energy_j``;
-        * a :class:`~repro.faults.schedule.Straggler` multiplies the
-          node's DVFS factor (capacity *and* power scale, like thermal
-          throttling);
-        * a :class:`~repro.faults.schedule.NetworkDegrade` scales the
-          network capacities in max-min fair allocation.
-
-        Fault node indices wrap modulo the cluster size (ring semantics,
-        matching chained declustering), so one scenario spans designs of
-        different sizes.  With a ``layout``, a crash that strands every
-        copy of a partition raises
-        :class:`~repro.errors.SimulationError` — the candidate is
-        infeasible under the scenario; without one, jobs stranded by a
-        never-recovering node are dropped and the trace continues.
-        """
-        import heapq
-
-        from repro.faults.schedule import (
-            FailurePolicy,
-            NetworkDegrade,
-            NodeCrash,
-            Straggler,
-        )
-        from repro.policy.policies import (
-            ClusterState,
-            GateNode,
-            SetFrequency,
-            UngateNode,
-        )
-
-        if failure_policy is None:
-            failure_policy = FailurePolicy()
-        dynamic = policy is not None and not policy.is_static
-        if dynamic and control_interval_s <= 0:
-            raise SimulationError(
-                f"control interval must be > 0, got {control_interval_s}"
-            )
-        model = policy.power_state_model() if dynamic else None
-        fault_model = failure_policy.transitions
-
-        num_nodes = self.pool.num_nodes
-        roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
-        node_state = [ACTIVE] * num_nodes
-        transition_end = [math.inf] * num_nodes
-        factors = [1.0] * num_nodes
-        node_energy = [0.0] * num_nodes
-        gated_seconds = 0.0
-        energy_saved = 0.0
-        recovery_energy = 0.0
-        intervals: list[Interval] = []
-
-        # The fault timeline: every event contributes its onset (and,
-        # where applicable, its offset/recovery) to the event horizon.
-        timeline: list[tuple[float, str, object]] = []
-        for event in faults.events:
-            if isinstance(event, NodeCrash):
-                timeline.append((event.at_s, "crash", event))
-                if math.isfinite(event.recover_at_s):
-                    timeline.append((event.recover_at_s, "recover", event))
-            elif isinstance(event, Straggler):
-                timeline.append((event.at_s, "straggle-on", event))
-                timeline.append((event.end_s, "straggle-off", event))
-            elif isinstance(event, NetworkDegrade):
-                timeline.append((event.at_s, "net-on", event))
-                timeline.append((event.end_s, "net-off", event))
-            else:
-                raise SimulationError(f"unknown fault event: {event!r}")
-        timeline.sort(key=lambda entry: entry[0])
-        fault_cursor = 0
-
-        crashed: dict[int, float] = {}  # node -> scheduled recovery (inf = never)
-        fault_waking: set[int] = set()
-        stragglers: dict[int, list] = {}
-        fault_mult = [1.0] * num_nodes
-        degrades: list = []
-        net_mult = 1.0
-        survived = 0
-        retried = 0
-        dropped: list[str] = []
-        attempts = [0] * len(jobs)
-        retry_ready: list[tuple[float, int]] = []
-
-        time_s = 0.0
-        job_phase = [0] * len(jobs)
-        phase_live_count = [0] * len(jobs)
-        job_start: dict[str, float] = {}
-        job_completion: dict[str, float] = {}
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].start_time_s)
-        cursor = 0
-        live: list[_LiveFlow] = []
-        held: list[int] = []
-        node_sets: dict[int, frozenset[int]] = {}
-
-        def needed_nodes(index: int) -> frozenset[int]:
-            key = id(jobs[index].phases)
-            nodes = node_sets.get(key)
-            if nodes is None:
-                nodes = node_sets[key] = self._job_nodes(jobs[index])
-            return nodes
-
-        def drop_job(index: int) -> None:
-            dropped.append(jobs[index].name)
-            job_phase[index] = None
-            phase_live_count[index] = 0
-
-        def integrate(rates: Sequence[float], dt: float) -> None:
-            """Per-state energy; crashes and recoveries price separately."""
-            nonlocal gated_seconds, energy_saved, recovery_energy
-            if dt <= 0:
-                return
-            cpu_rates = [0.0] * num_nodes
-            for flow, rate in zip(live, rates):
-                for resource, coef in flow.spec.demands.items():
-                    kind, _, node = resource.partition(":")
-                    if kind == CPU:
-                        cpu_rates[int(node)] += coef * rate
-            utils = []
-            powers = []
-            for node_id in range(num_nodes):
-                spec = self.pool.node_spec(node_id)
-                state = node_state[node_id]
-                if state == ACTIVE:
-                    effective = self._dvfs_spec(
-                        node_id, factors[node_id] * fault_mult[node_id]
-                    )
-                    util = effective.utilization(cpu_rates[node_id])
-                    watts = effective.power_model.power(util)
-                else:
-                    util = 0.0
-                    if node_id in crashed:
-                        # A crashed node draws the failure model's standby
-                        # residual.  No savings credit: a crash is not a
-                        # policy decision.
-                        watts = fault_model.gated_power_w(spec)
-                    elif node_id in fault_waking:
-                        watts = (
-                            fault_model.transition_power_fraction
-                            * spec.peak_power_w
-                        )
-                        recovery_energy += watts * dt
-                    elif state == GATED:
-                        watts = model.gated_power_w(spec)
-                        gated_seconds += dt
-                        energy_saved += (spec.idle_power_w - watts) * dt
-                    else:  # policy-driven gating or waking
-                        watts = (
-                            model.transition_power_fraction * spec.peak_power_w
-                        )
-                        energy_saved += (spec.idle_power_w - watts) * dt
-                utils.append(util)
-                powers.append(watts)
-                node_energy[node_id] += watts * dt
-            if self.record_intervals:
-                intervals.append(
-                    Interval(
-                        start_s=time_s,
-                        end_s=time_s + dt,
-                        node_utilization=tuple(utils),
-                        node_power_w=tuple(powers),
-                        flow_names=tuple(flow.spec.name for flow in live),
-                        flow_bindings=tuple(bindings),
-                        flow_jobs=tuple(flow.job_name for flow in live),
-                    )
-                )
-
-        def apply_due_faults() -> None:
-            nonlocal fault_cursor, net_mult, survived, retried, live
-            while (
-                fault_cursor < len(timeline)
-                and timeline[fault_cursor][0] <= time_s + _COMPLETION_EPS
-            ):
-                _, kind, event = timeline[fault_cursor]
-                fault_cursor += 1
-                if kind == "crash":
-                    survived += 1
-                    node = event.node % num_nodes
-                    prior = crashed.get(node)
-                    crashed[node] = (
-                        event.recover_at_s
-                        if prior is None
-                        else max(prior, event.recover_at_s)
-                    )
-                    # Forced gated transition with zero notice: whatever
-                    # state the node was in, it is off *now*.
-                    node_state[node] = GATED
-                    transition_end[node] = math.inf
-                    fault_waking.discard(node)
-                    if layout is not None:
-                        up = [n for n in range(num_nodes) if n not in crashed]
-                        layout.require_coverage(
-                            up,
-                            context=(
-                                f"after node {node} crashed at "
-                                f"t={time_s:g}s"
-                            ),
-                        )
-                    # Kill every in-flight job that owns the dead node —
-                    # a running job owns every node any of its phases
-                    # demands (the barrier rule).
-                    victims = sorted(
-                        {
-                            flow.job_index
-                            for flow in live
-                            if node in needed_nodes(flow.job_index)
-                        }
-                    )
-                    if victims:
-                        victim_set = set(victims)
-                        live = [
-                            flow
-                            for flow in live
-                            if flow.job_index not in victim_set
-                        ]
-                        for index in victims:
-                            phase_live_count[index] = 0
-                            job_phase[index] = 0  # progress is lost
-                            if (
-                                failure_policy.retries_enabled
-                                and attempts[index] < failure_policy.max_retries
-                            ):
-                                attempts[index] += 1
-                                retried += 1
-                                heapq.heappush(
-                                    retry_ready,
-                                    (
-                                        time_s
-                                        + failure_policy.backoff_delay_s(
-                                            jobs[index].name, attempts[index]
-                                        ),
-                                        index,
-                                    ),
-                                )
-                            else:
-                                drop_job(index)
-                elif kind == "recover":
-                    node = event.node % num_nodes
-                    until = crashed.get(node)
-                    # A later crash may have extended the outage; only the
-                    # recovery that reaches the scheduled time revives.
-                    if until is not None and until <= time_s + _COMPLETION_EPS:
-                        del crashed[node]
-                        if fault_model.boot_s > 0:
-                            node_state[node] = WAKING
-                            transition_end[node] = time_s + fault_model.boot_s
-                            fault_waking.add(node)
-                        else:
-                            node_state[node] = ACTIVE
-                            transition_end[node] = math.inf
-                elif kind == "straggle-on":
-                    survived += 1
-                    node = event.node % num_nodes
-                    stragglers.setdefault(node, []).append(event)
-                    fault_mult[node] = math.prod(
-                        s.slowdown for s in stragglers[node]
-                    )
-                elif kind == "straggle-off":
-                    node = event.node % num_nodes
-                    group = stragglers.get(node, [])
-                    if event in group:
-                        group.remove(event)
-                    fault_mult[node] = (
-                        math.prod(s.slowdown for s in group) if group else 1.0
-                    )
-                elif kind == "net-on":
-                    survived += 1
-                    degrades.append(event)
-                    net_mult = math.prod(d.factor for d in degrades)
-                else:  # net-off
-                    if event in degrades:
-                        degrades.remove(event)
-                    net_mult = (
-                        math.prod(d.factor for d in degrades)
-                        if degrades
-                        else 1.0
-                    )
-
-        last_busy_s = 0.0
-        next_tick_s = control_interval_s if dynamic else math.inf
-        bindings: Sequence[str] = []
-        events = 0
-        # Telemetry accumulates in locals and flushes once at the return.
-        ticks = 0
-        gate_actions = 0
-        ungate_actions = 0
-        freq_actions = 0
-
-        while cursor < len(order) or live or held or retry_ready:
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; simulation stalled?"
-                )
-
-            # Complete power-state transitions that are due.
-            for node_id in range(num_nodes):
-                if transition_end[node_id] <= time_s + _COMPLETION_EPS:
-                    node_state[node_id] = (
-                        GATED if node_state[node_id] == GATING else ACTIVE
-                    )
-                    transition_end[node_id] = math.inf
-                    fault_waking.discard(node_id)
-
-            apply_due_faults()
-
-            # Retry backoffs that have elapsed re-enter the queue.
-            while (
-                retry_ready
-                and retry_ready[0][0] <= time_s + _COMPLETION_EPS
-            ):
-                _, index = heapq.heappop(retry_ready)
-                held.append(index)
-
-            # Arrivals join the held queue; ``job_start_s`` stays the
-            # arrival, so outage waits land in response times.
-            while (
-                cursor < len(order)
-                and jobs[order[cursor]].start_time_s <= time_s + _COMPLETION_EPS
-            ):
-                index = order[cursor]
-                cursor += 1
-                job_start[jobs[index].name] = max(
-                    time_s, jobs[index].start_time_s
-                )
-                held.append(index)
-
-            # Resolve held jobs: stranded ones (a needed node is down and
-            # will never return) are shed; ready ones admit, arrival order.
-            if held:
-                still_held: list[int] = []
-                for index in held:
-                    needed = needed_nodes(index)
-                    if any(crashed.get(n) == math.inf for n in needed):
-                        drop_job(index)
-                    elif all(node_state[n] == ACTIVE for n in needed):
-                        self._advance_job(
-                            jobs, index, 0, live, phase_live_count,
-                            job_phase, time_s, job_completion,
-                        )
-                    else:
-                        still_held.append(index)
-                held = still_held
-
-            if live or held:
-                last_busy_s = time_s
-
-            # Control tick (dynamic policies only): identical to the
-            # controlled loop, except a crashed node can be neither gated
-            # (it is not active) nor woken (rebooting is the nemesis's
-            # call, not the policy's).
-            if dynamic and next_tick_s <= time_s + _COMPLETION_EPS:
-                ticks += 1
-                effective = [
-                    factors[n] * fault_mult[n] for n in range(num_nodes)
-                ]
-                if live:
-                    rates, bindings = self._allocate(
-                        live, effective, net_factor=net_mult
-                    )
-                else:
-                    rates, bindings = [], []
-                cpu_rates = [0.0] * num_nodes
-                for flow, rate in zip(live, rates):
-                    for resource, coef in flow.spec.demands.items():
-                        kind, _, node = resource.partition(":")
-                        if kind == CPU:
-                            cpu_rates[int(node)] += coef * rate
-                loads = tuple(
-                    min(
-                        1.0,
-                        cpu_rates[n]
-                        / (
-                            self.pool.node_spec(n).cpu_bandwidth_mbps
-                            * effective[n]
-                        ),
-                    )
-                    if node_state[n] == ACTIVE
-                    else 0.0
-                    for n in range(num_nodes)
-                )
-                snapshot = ClusterState(
-                    time_s=time_s,
-                    node_roles=roles,
-                    node_states=tuple(node_state),
-                    node_utilization=loads,
-                    frequency_factors=tuple(factors),
-                    queue_depth=len({flow.job_index for flow in live})
-                    + len(held),
-                    held_jobs=len(held),
-                    idle_s=time_s - last_busy_s,
-                )
-                demanded = frozenset(
-                    node
-                    for flow in live
-                    for node in needed_nodes(flow.job_index)
-                )
-                for action in policy.observe(snapshot):
-                    if isinstance(action, GateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == ACTIVE
-                            and node_id not in demanded
-                        ):
-                            gate_actions += 1
-                            if model.shutdown_s > 0:
-                                node_state[node_id] = GATING
-                                transition_end[node_id] = (
-                                    time_s + model.shutdown_s
-                                )
-                            else:
-                                node_state[node_id] = GATED
-                    elif isinstance(action, UngateNode):
-                        node_id = action.node_id
-                        if (
-                            0 <= node_id < num_nodes
-                            and node_state[node_id] == GATED
-                            and node_id not in crashed
-                        ):
-                            ungate_actions += 1
-                            if model.boot_s > 0:
-                                node_state[node_id] = WAKING
-                                transition_end[node_id] = time_s + model.boot_s
-                            else:
-                                node_state[node_id] = ACTIVE
-                    elif isinstance(action, SetFrequency):
-                        if 0 <= action.node_id < num_nodes:
-                            freq_actions += 1
-                            factors[action.node_id] = action.frequency_factor
-                    else:
-                        raise SimulationError(
-                            f"unknown control action: {action!r}"
-                        )
-                while next_tick_s <= time_s + _COMPLETION_EPS:
-                    next_tick_s += control_interval_s
-
-            pending = [end for end in transition_end if math.isfinite(end)]
-
-            if not live:
-                if cursor >= len(order) and not held and not retry_ready:
-                    break  # nothing left; trailing faults don't extend the run
-                targets = list(pending)
-                if cursor < len(order):
-                    targets.append(jobs[order[cursor]].start_time_s)
-                if dynamic:
-                    targets.append(next_tick_s)
-                if fault_cursor < len(timeline):
-                    targets.append(timeline[fault_cursor][0])
-                if retry_ready:
-                    targets.append(retry_ready[0][0])
-                if not targets:
-                    raise SimulationError(
-                        "simulation stalled: jobs are waiting on nodes "
-                        "that will never become active"
-                    )
-                target = min(targets)
-                bindings = []
-                integrate([], target - time_s)
-                time_s = max(time_s, target)
-                continue
-
-            rates, bindings = self._allocate(
-                live,
-                [factors[n] * fault_mult[n] for n in range(num_nodes)],
-                net_factor=net_mult,
-            )
-
-            dt = math.inf
-            for flow, rate in zip(live, rates):
-                if rate > 0:
-                    dt = min(dt, flow.remaining_mb / rate)
-            if cursor < len(order):
-                dt = min(dt, jobs[order[cursor]].start_time_s - time_s)
-            if dynamic:
-                dt = min(dt, next_tick_s - time_s)
-            for end in pending:
-                dt = min(dt, end - time_s)
-            if fault_cursor < len(timeline):
-                dt = min(dt, timeline[fault_cursor][0] - time_s)
-            if retry_ready:
-                dt = min(dt, retry_ready[0][0] - time_s)
-            if not math.isfinite(dt) or dt < 0:
-                raise SimulationError(
-                    "simulation stalled: live flows have zero rate and no "
-                    "pending events"
-                )
-
-            integrate(rates, dt)
-            for flow, rate in zip(live, rates):
-                flow.remaining_mb -= rate * dt
-            time_s += dt
-
-            finished = [flow for flow in live if flow.done]
-            if finished:
-                live = [flow for flow in live if not flow.done]
-                touched_jobs = set()
-                for flow in finished:
-                    phase_live_count[flow.job_index] -= 1
-                    touched_jobs.add(flow.job_index)
-                for index in touched_jobs:
-                    if phase_live_count[index] == 0 and job_phase[index] is not None:
-                        self._advance_job(
-                            jobs, index, job_phase[index] + 1, live,
-                            phase_live_count, job_phase, time_s, job_completion,
-                        )
+                        admit(index, job_phase[index] + 1)
 
         if not job_completion:
             raise SimulationError(
                 "no job survived the fault schedule: all "
                 f"{len(dropped)} submitted jobs were dropped"
             )
+        # Hot-loop accounting stays in locals and flushes once per run, so
+        # the disabled path costs one attribute check here.
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.count("sim.faulted_runs")
+            telemetry.count("sim.runs")
             telemetry.count("sim.events", events)
-            telemetry.count("sim.faults.onsets", survived)
-            telemetry.count("sim.faults.retried_jobs", retried)
-            telemetry.count("sim.faults.dropped_jobs", len(dropped))
             if dynamic:
                 telemetry.count("sim.control.ticks", ticks)
                 telemetry.count("sim.control.gate_actions", gate_actions)
                 telemetry.count("sim.control.ungate_actions", ungate_actions)
                 telemetry.count("sim.control.freq_actions", freq_actions)
+            if timeline:
+                telemetry.count("sim.faults.onsets", survived)
+                telemetry.count("sim.faults.retried_jobs", retried)
+                telemetry.count("sim.faults.dropped_jobs", len(dropped))
         return SimulationResult(
             makespan_s=time_s,
             energy_j=sum(node_energy),
@@ -1235,6 +750,31 @@ class ClusterSimulator:
             dropped_job_names=tuple(dropped),
             faults_survived=survived,
         )
+
+    @staticmethod
+    def _fault_timeline(faults) -> list[tuple[float, str, object]]:
+        """Every onset and offset/recovery of ``faults``, time-sorted."""
+        events = getattr(faults, "events", ())
+        if not events:
+            return []
+        from repro.faults.schedule import NetworkDegrade, NodeCrash, Straggler
+
+        timeline: list[tuple[float, str, object]] = []
+        for event in events:
+            if isinstance(event, NodeCrash):
+                timeline.append((event.at_s, "crash", event))
+                if math.isfinite(event.recover_at_s):
+                    timeline.append((event.recover_at_s, "recover", event))
+            elif isinstance(event, Straggler):
+                timeline.append((event.at_s, "straggle-on", event))
+                timeline.append((event.end_s, "straggle-off", event))
+            elif isinstance(event, NetworkDegrade):
+                timeline.append((event.at_s, "net-on", event))
+                timeline.append((event.end_s, "net-off", event))
+            else:
+                raise SimulationError(f"unknown fault event: {event!r}")
+        timeline.sort(key=lambda entry: entry[0])
+        return timeline
 
     def _job_nodes(self, job: Job) -> frozenset[int]:
         """Every node id any flow of ``job`` demands (any resource kind)."""
@@ -1351,42 +891,14 @@ class ClusterSimulator:
             [flow.spec.demands for flow in live], capacities
         )
 
-    def _integrate(
-        self,
-        live: Sequence[_LiveFlow],
-        rates: Sequence[float],
-        bindings: Sequence[str],
-        time_s: float,
-        dt: float,
-        node_energy: list[float],
-        intervals: list[Interval],
-    ) -> None:
-        if dt <= 0:
-            return
+    def _cpu_rates(
+        self, live: Sequence[_LiveFlow], rates: Sequence[float]
+    ) -> list[float]:
+        """Per-node CPU demand (MB/s) of the live flows at ``rates``."""
         cpu_rates = [0.0] * self.pool.num_nodes
         for flow, rate in zip(live, rates):
             for resource, coef in flow.spec.demands.items():
                 kind, _, node = resource.partition(":")
                 if kind == CPU:
                     cpu_rates[int(node)] += coef * rate
-        utils = []
-        powers = []
-        for node_id in self.pool.node_ids():
-            spec = self.pool.node_spec(node_id)
-            util = spec.utilization(cpu_rates[node_id])
-            watts = spec.power_model.power(util)
-            utils.append(util)
-            powers.append(watts)
-            node_energy[node_id] += watts * dt
-        if self.record_intervals:
-            intervals.append(
-                Interval(
-                    start_s=time_s,
-                    end_s=time_s + dt,
-                    node_utilization=tuple(utils),
-                    node_power_w=tuple(powers),
-                    flow_names=tuple(flow.spec.name for flow in live),
-                    flow_bindings=tuple(bindings),
-                    flow_jobs=tuple(flow.job_name for flow in live),
-                )
-            )
+        return cpu_rates

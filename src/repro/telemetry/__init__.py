@@ -24,10 +24,11 @@ What gets recorded (when enabled):
   snapshot ships back over the chunk-result channel and merges under the
   parent's ``search.dispatch``), plus ``search.dispatch.chunks`` /
   ``search.dispatch.tasks`` / ``search.dispatch.retries`` counters;
-* the simulators — ``sim.runs`` / ``sim.events``, control-policy action
-  counters (``sim.control.*``), fault accounting (``sim.faults.*``), and
-  the multiplexed loop's iteration and allocation-kernel batch-size
-  counters (``sim.multiplex.*``);
+* the simulators — ``sim.runs`` (one per serial run, whatever its event
+  sources) / ``sim.events``, control-tick counters (``sim.control.*``,
+  runs with a dynamic policy), fault accounting (``sim.faults.*``, runs
+  with a non-empty fault schedule), and the multiplexed loop's iteration
+  and allocation-kernel batch-size counters (``sim.multiplex.*``);
 * ``Study.report()`` renders the registry,
   :func:`repro.analysis.export.telemetry_to_json` persists it next to a
   benchmark's ``BENCH_*.json``.

@@ -1,6 +1,4 @@
-"""Fault injection inside :class:`ClusterSimulator`: the nemesis loop."""
-
-import math
+"""Fault injection inside :class:`ClusterSimulator`: the fault event source."""
 
 import pytest
 from hypothesis import given, settings
@@ -269,11 +267,21 @@ def test_adjacent_double_crash_defeats_r2_chained_declustering():
 
 
 # ------------------------------------------------------------ empty parity
+def never_firing(healthy):
+    """A non-empty schedule whose only event lands after the last completion."""
+    return FaultSchedule(
+        events=(NodeCrash(node=0, at_s=healthy.makespan_s + 1.0),)
+    )
+
+
 def test_empty_schedule_is_bit_identical_to_no_faults():
     sim = simulator()
     jobs = [cpu_job("a", 1000.0), cpu_job("b", 500.0, node=1, start=0.3)]
-    assert sim.run(jobs, faults=FaultSchedule()) == sim.run(jobs)
-    assert sim.run(jobs, faults=None) == sim.run(jobs)
+    healthy = sim.run(jobs)
+    assert sim.run(jobs, faults=FaultSchedule()) == healthy
+    assert sim.run(jobs, faults=None) == healthy
+    # The fault source costs nothing until it fires.
+    assert sim.run(jobs, faults=never_firing(healthy)) == healthy
 
 
 @settings(max_examples=25, deadline=None)
@@ -282,13 +290,16 @@ def test_empty_schedule_is_bit_identical_to_no_faults():
     starts=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
 )
 def test_empty_schedule_parity_property(volumes, starts):
-    """An empty FaultSchedule never changes any run, whatever the jobs."""
+    """An empty — or never-firing — FaultSchedule never changes any run,
+    whatever the jobs."""
     sim = simulator()
     jobs = [
         cpu_job(f"j{i}", volume, node=i % 4, start=starts[i % 4])
         for i, volume in enumerate(volumes)
     ]
-    assert sim.run(jobs, faults=FaultSchedule()) == sim.run(jobs)
+    healthy = sim.run(jobs)
+    assert sim.run(jobs, faults=FaultSchedule()) == healthy
+    assert sim.run(jobs, faults=never_firing(healthy)) == healthy
 
 
 def test_faulted_runs_are_deterministic():

@@ -1,5 +1,6 @@
 """PolicyCandidate: the (design x policy) search object."""
 
+import math
 import pickle
 from dataclasses import replace
 
@@ -34,12 +35,13 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PolicyCandidate(design=designs()[0], policy="not-a-policy")
-        with pytest.raises(ConfigurationError):
-            PolicyCandidate(
-                design=designs()[0],
-                policy=StaticPolicy(),
-                control_interval_s=0.0,
-            )
+        for interval in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="control interval"):
+                PolicyCandidate(
+                    design=designs()[0],
+                    policy=StaticPolicy(),
+                    control_interval_s=interval,
+                )
 
 
 class TestDesignSurface:

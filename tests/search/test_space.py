@@ -1,5 +1,6 @@
 """SearchSpace: sampling, mutation, grid compatibility, enumeration."""
 
+import math
 import random
 
 import pytest
@@ -236,6 +237,15 @@ class TestOpenSpace:
     def test_frequency_range_must_stay_in_unit_interval(self):
         with pytest.raises(ConfigurationError, match="frequency_factor"):
             open_space(frequency_factors=RangeAxis("frequency_factor", 0.0, 1.0))
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_control_interval_must_be_finite_and_positive(self, interval):
+        # A NaN or infinite interval would silently never consult a
+        # dynamic policy, so every constructor rejects it up front.
+        with pytest.raises(ConfigurationError, match="control interval"):
+            open_space(control_interval_s=interval)
+        with pytest.raises(ConfigurationError, match="control interval"):
+            SearchSpace.from_grid(reference_grid(), control_interval_s=interval)
 
 
 class TestCandidateListSpace:

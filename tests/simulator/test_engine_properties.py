@@ -1,15 +1,24 @@
 """Property-based invariants of the fluid simulator."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.cluster import ClusterSpec
+from repro.faults import (
+    FailurePolicy,
+    FaultSchedule,
+    NetworkDegrade,
+    NodeCrash,
+    Straggler,
+)
+from repro.hardware.cluster import BEEFY, ClusterSpec
 from repro.hardware.node import NodeSpec
 from repro.hardware.power import PowerLawModel
+from repro.hardware.powerstate import PowerStateModel
+from repro.policy import DvfsLadderPolicy, PolicyChain, PowerGatePolicy
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.jobs import FlowSpec, Job, Phase
-from repro.simulator.resources import cpu, disk
+from repro.simulator.resources import cpu, disk, nic_in, nic_out
 
 NODE = NodeSpec(
     name="p",
@@ -81,3 +90,100 @@ def test_energy_scales_with_idle_nodes(volume, extra_nodes):
     expected = small.energy_j + extra_nodes * idle_power * small.makespan_s
     assert big.energy_j == pytest.approx(expected)
     assert big.makespan_s == pytest.approx(small.makespan_s)
+
+
+# ------------------------------------------------- invariants of every mode
+#: transitions short enough that gating happens inside the drawn traces
+QUICK = PowerStateModel(
+    shutdown_s=0.2, boot_s=0.5, transition_power_fraction=0.8,
+    gated_power_fraction=0.1,
+)
+CONTROL = PolicyChain(
+    (
+        PowerGatePolicy(
+            utilization_floor=0.05, node_role=BEEFY, min_idle_s=0.3,
+            transitions=QUICK,
+        ),
+        DvfsLadderPolicy(ladder=((0, 0.6), (2, 1.0)), node_role=BEEFY),
+    )
+)
+RETRY = FailurePolicy.abort_and_retry(backoff_base_s=0.5, transitions=QUICK)
+
+
+def _flow(name, volume, src, dst):
+    if dst is None:
+        return FlowSpec(name, volume, {cpu(src): 1.0})
+    return FlowSpec(
+        name, volume, {cpu(src): 0.1, nic_out(src): 1.0, nic_in(dst): 1.0}
+    )
+
+
+@st.composite
+def workloads(draw):
+    """2-5 nodes and 1-5 multi-phase jobs of CPU and network flows."""
+    num_nodes = draw(st.integers(2, 5))
+    node = st.integers(0, num_nodes - 1)
+    jobs = []
+    for j in range(draw(st.integers(1, 5))):
+        phases = []
+        for p in range(draw(st.integers(1, 3))):
+            flows = []
+            for f in range(draw(st.integers(1, 2))):
+                src = draw(node)
+                dst = draw(st.one_of(st.none(), node.filter(lambda n: n != src)))
+                volume = draw(st.floats(1.0, 500.0))
+                flows.append(_flow(f"j{j}p{p}f{f}", volume, src, dst))
+            phases.append(Phase(f"p{p}", tuple(flows)))
+        start = draw(st.floats(0.0, 5.0))
+        jobs.append(Job(name=f"j{j}", phases=tuple(phases), start_time_s=start))
+    crash_at = draw(st.floats(0.0, 4.0))
+    faults = FaultSchedule(
+        events=(
+            NodeCrash(
+                node=draw(node), at_s=crash_at,
+                recover_at_s=crash_at + draw(st.floats(0.1, 3.0)),
+            ),
+            Straggler(
+                node=draw(node), at_s=draw(st.floats(0.0, 4.0)),
+                slowdown=draw(st.floats(0.2, 0.9)),
+                duration_s=draw(st.floats(0.1, 5.0)),
+            ),
+            NetworkDegrade(
+                factor=draw(st.floats(0.2, 0.9)), at_s=draw(st.floats(0.0, 4.0)),
+                duration_s=draw(st.floats(0.1, 5.0)),
+            ),
+        )
+    )
+    return num_nodes, jobs, faults
+
+
+@settings(max_examples=60, deadline=None)
+@given(workloads(), st.booleans())
+def test_invariants_hold_in_every_mode(workload, record):
+    """Healthy, policy-controlled, and faulted runs all conserve energy,
+    respect causality, and account for every submitted job."""
+    num_nodes, jobs, faults = workload
+    sim = ClusterSimulator(
+        ClusterSpec.homogeneous(NODE, num_nodes), record_intervals=record
+    )
+    modes = {
+        "healthy": {},
+        "policy": {"policy": CONTROL, "control_interval_s": 0.25},
+        "faults": {"faults": faults, "failure_policy": RETRY},
+    }
+    submitted = {job.name: job.start_time_s for job in jobs}
+    for mode, options in modes.items():
+        result = sim.run(jobs, **options)
+        assert sum(result.node_energy_j) == result.energy_j, mode
+        if record:
+            intervals = sum(i.energy_j for i in result.intervals)
+            assert intervals == pytest.approx(result.energy_j, rel=1e-9), mode
+        completed = set(result.job_completion_s)
+        dropped = set(result.dropped_job_names)
+        assert completed | dropped == set(submitted), mode
+        assert not completed & dropped, mode
+        for name in completed:
+            start = result.job_start_s[name]
+            assert start >= submitted[name], mode
+            assert result.job_completion_s[name] >= start, mode
+            assert result.job_completion_s[name] <= result.makespan_s, mode

@@ -1,9 +1,11 @@
 """Node power states under dynamic control policies.
 
-Exercises the controlled event loop (`ClusterSimulator._run_controlled`):
+Exercises `ClusterSimulator.run` with its control-tick event source:
 gating and waking around idle stretches, the wake-up latency penalty on
 held jobs, per-state energy pricing, and exact parity of the static path.
 """
+
+import math
 
 import pytest
 
@@ -240,10 +242,12 @@ class TestGuards:
     def test_control_interval_must_be_positive(self, rig):
         store, plan, solo = rig
         jobs = trace_jobs([(plan, 0.0)])
-        with pytest.raises(SimulationError, match="control interval"):
-            store.simulator.run(
-                jobs, policy=gate_policy(solo), control_interval_s=0.0
-            )
+        # NaN and inf would silently never consult the policy.
+        for interval in (0.0, math.nan, math.inf):
+            with pytest.raises(SimulationError, match="control interval"):
+                store.simulator.run(
+                    jobs, policy=gate_policy(solo), control_interval_s=interval
+                )
 
     def test_gating_never_strands_a_running_job(self, rig):
         """A policy with no idle hysteresis tries to gate at every tick;
