@@ -55,5 +55,5 @@ profile:
 # golden-record, oracle-replay and causality checks) plus its toy-size
 # smoke test: the speed and parity gate for simulator changes.
 perf:
-	python3 benchmarks/perf/run.py
+	$(PYTHON) benchmarks/perf/run.py
 	$(PYTHON) -m pytest benchmarks/perf -q

@@ -198,8 +198,9 @@ def run_cost_bench(grid=FULL_GRID, events=EVENTS) -> dict:
         objectives=("time_s", "energy_j", "price_usd")
     )
 
-    # time-varying carbon: serial path with interval recording, checked
-    # record-for-record against the boundary-splitting oracle
+    # time-varying carbon: integrated inside the multiplexed loop, checked
+    # record-for-record against the boundary-splitting oracle (which
+    # replays each design serially with interval recording)
     model = diurnal_model(solo, events)
     start = time.perf_counter()
     timed = campaign(grid, trace, model)

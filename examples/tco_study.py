@@ -14,7 +14,7 @@ cheapest design is not the most energy-efficient one:
 
 Part 1 sweeps a 216-design campaign (sizes x mixes x DVFS) under the
 analytical model with a flat grid; Part 2 replays a timed trace under a
-time-of-day carbon curve, where the simulator's per-interval energy is
+time-of-day carbon curve, where the simulator's power timeline is
 integrated against the curve exactly.
 
 Run:  python examples/tco_study.py

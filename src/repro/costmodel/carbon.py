@@ -17,7 +17,9 @@ two cases).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -37,7 +39,8 @@ class CarbonIntensityCurve:
 
     * :meth:`at` — the intensity in force at an instant;
     * :meth:`integral` — ∫ intensity dt over ``[start_s, end_s]`` in
-      g·s/kWh, splitting at slot and period boundaries analytically;
+      g·s/kWh, splitting at slot and period boundaries analytically (one
+      stretch, or an array of stretches in one call);
     * :attr:`mean` — the time-weighted cycle average, used wherever an
       evaluation has no timeline to integrate against (weights-only
       records).
@@ -45,17 +48,30 @@ class CarbonIntensityCurve:
 
     slots: tuple[float, ...]
     period_s: float
+    #: the slots as an array, and ``sum(slots[:k])`` for k = 0..len(slots)
+    #: added left to right — :meth:`integral`'s lookup tables
+    _values: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slots", tuple(float(s) for s in self.slots))
         if not self.slots:
             raise ConfigurationError("a carbon curve needs at least one slot")
-        if any(s < 0 for s in self.slots):
-            raise ConfigurationError("carbon intensity cannot be negative")
-        if not self.period_s > 0:
+        # NaN fails every comparison, so a bare ``< 0`` check lets it through
+        if not all(math.isfinite(s) and s >= 0 for s in self.slots):
             raise ConfigurationError(
-                f"carbon curve period must be > 0 seconds, got {self.period_s}"
+                f"carbon intensity must be finite and non-negative, got {self.slots}"
             )
+        if not (self.period_s > 0 and math.isfinite(self.period_s)):
+            raise ConfigurationError(
+                "carbon curve period must be a finite number of seconds > 0, "
+                f"got {self.period_s}"
+            )
+        prefix = [0.0]
+        for s in self.slots:
+            prefix.append(prefix[-1] + s)
+        object.__setattr__(self, "_values", np.array(self.slots))
+        object.__setattr__(self, "_prefix", np.array(prefix))
 
     @classmethod
     def diurnal(
@@ -94,30 +110,38 @@ class CarbonIntensityCurve:
         index = min(int(offset / self.slot_s), len(self.slots) - 1)
         return self.slots[index]
 
-    def _cumulative(self, offset_s: float) -> float:
-        """∫₀^offset intensity dt for one offset inside a single period."""
+    def _cumulative(self, offset_s: np.ndarray) -> np.ndarray:
+        """∫₀^offset intensity dt for offsets inside a single period."""
         width = self.slot_s
-        index = min(int(offset_s / width), len(self.slots) - 1)
-        whole = sum(self.slots[:index]) * width
-        return whole + self.slots[index] * (offset_s - index * width)
+        # truncation, not floor: rounding can leave an offset a hair below 0
+        index = np.minimum((offset_s / width).astype(np.int64), len(self.slots) - 1)
+        return self._prefix[index] * width + self._values[index] * (
+            offset_s - index * width
+        )
 
-    def integral(self, start_s: float, end_s: float) -> float:
+    def integral(self, start_s, end_s):
         """Exact ∫ intensity dt over ``[start_s, end_s]`` (g·s/kWh).
 
         Multiplying by a constant power in W and dividing by J-per-kWh
         gives grams of CO₂ for the stretch; an empty or inverted range
-        integrates to zero.
+        integrates to zero.  Floats give a float; equal-shape arrays give
+        one integral per element, each bit-identical to the scalar call
+        (the serial pricer integrates one interval at a time, the
+        multiplexed loop one step of every lane at once).
         """
-        if end_s <= start_s:
-            return 0.0
-        cycle = sum(self.slots) * self.slot_s
-        start_cycles = math.floor(start_s / self.period_s)
-        end_cycles = math.floor(end_s / self.period_s)
-        return (
+        start = np.asarray(start_s, dtype=np.float64)
+        end = np.asarray(end_s, dtype=np.float64)
+        cycle = self._prefix[-1] * self.slot_s
+        start_cycles = np.floor(start / self.period_s)
+        end_cycles = np.floor(end / self.period_s)
+        value = np.where(
+            end > start,
             (end_cycles - start_cycles) * cycle
-            + self._cumulative(end_s - end_cycles * self.period_s)
-            - self._cumulative(start_s - start_cycles * self.period_s)
+            + self._cumulative(end - end_cycles * self.period_s)
+            - self._cumulative(start - start_cycles * self.period_s),
+            0.0,
         )
+        return value if value.ndim else float(value)
 
     def fingerprint(self) -> tuple:
         """Value identity for cache keys (primitives only, persistable)."""

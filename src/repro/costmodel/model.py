@@ -8,8 +8,11 @@ the paper's Section 1 motivation reaches past joules for:
   wall time, plus the energy tariff (``$/kWh``) over its energy;
 * **carbon_g** — grid carbon intensity (``gCO₂/kWh``), either flat or a
   :class:`~repro.costmodel.carbon.CarbonIntensityCurve` integrated
-  exactly against the simulator's per-interval energy so a diurnal
-  gating policy earns its true time-of-day carbon credit.
+  exactly against a timed run's piecewise-constant cluster power — the
+  serial simulator's recorded intervals (:meth:`CostModel.carbon_g_timed`)
+  or, step by step, the multiplexed loop's lanes, with bit-identical
+  results — so a diurnal gating policy earns its true time-of-day carbon
+  credit.
 
 Both are *annotations*: attaching a cost model to an evaluator (or a
 :class:`~repro.study.Study` via ``with_cost_model``) never changes the
@@ -20,6 +23,7 @@ record stays bit-identical to the pre-cost behaviour, cost fields
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,6 +34,11 @@ __all__ = ["CostModel", "JOULES_PER_KWH"]
 
 #: one kilowatt-hour in joules — the tariff/intensity unit bridge
 JOULES_PER_KWH = 3.6e6
+
+
+def _finite_non_negative(value: float) -> bool:
+    # NaN fails every comparison, so a bare ``< 0`` check lets it through
+    return math.isfinite(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -61,23 +70,26 @@ class CostModel:
         canonical = tuple(sorted((str(name), float(rate)) for name, rate in items))
         object.__setattr__(self, "capex_usd_per_node_hour", canonical)
         object.__setattr__(self, "_rates", dict(canonical))
-        if self.tariff_usd_per_kwh < 0:
+        if not _finite_non_negative(self.tariff_usd_per_kwh):
             raise ConfigurationError(
-                f"energy tariff cannot be negative: {self.tariff_usd_per_kwh}"
+                "energy tariff must be finite and non-negative: "
+                f"{self.tariff_usd_per_kwh}"
             )
-        if self.default_capex_usd_per_node_hour < 0:
+        if not _finite_non_negative(self.default_capex_usd_per_node_hour):
             raise ConfigurationError(
-                "default capex rate cannot be negative: "
+                "default capex rate must be finite and non-negative: "
                 f"{self.default_capex_usd_per_node_hour}"
             )
-        if any(rate < 0 for _, rate in canonical):
-            raise ConfigurationError("capex rates cannot be negative")
-        if (
-            not isinstance(self.carbon_g_per_kwh, CarbonIntensityCurve)
-            and self.carbon_g_per_kwh < 0
-        ):
+        if not all(_finite_non_negative(rate) for _, rate in canonical):
             raise ConfigurationError(
-                f"carbon intensity cannot be negative: {self.carbon_g_per_kwh}"
+                f"capex rates must be finite and non-negative: {canonical}"
+            )
+        if not isinstance(
+            self.carbon_g_per_kwh, CarbonIntensityCurve
+        ) and not _finite_non_negative(self.carbon_g_per_kwh):
+            raise ConfigurationError(
+                "carbon intensity must be finite and non-negative: "
+                f"{self.carbon_g_per_kwh}"
             )
 
     # ------------------------------------------------------------- structure

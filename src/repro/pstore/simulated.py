@@ -33,7 +33,7 @@ from repro.simulator.network import IDEAL_SWITCH, SwitchModel
 from repro.simulator.resources import cpu, disk, nic_in, nic_out
 from repro.workloads.queries import JoinMethod
 
-__all__ = ["build_join_job", "trace_jobs", "SimulatedPStore"]
+__all__ = ["build_join_job", "join_shape", "trace_jobs", "SimulatedPStore"]
 
 
 def _partition_volumes(total_mb: float, weights: Sequence[float] | None, n: int) -> list[float]:
@@ -174,6 +174,26 @@ def build_join_job(
         ),
         start_time_s=start_time_s,
         metadata={"plan": plan},
+    )
+
+
+def join_shape(plan: JoinPlan) -> tuple:
+    """The plan fields :func:`build_join_job` reads, as a hashable key.
+
+    Two plans with equal shapes expand into value-identical jobs (only
+    the ``metadata`` back-reference to the plan differs).  Node specs
+    never enter the key: they set capacities and power, not flows, so
+    designs that differ only in node types or DVFS factors share a shape
+    whenever their planner picks the same method and join nodes.
+    """
+    return (
+        plan.workload,
+        plan.method,
+        plan.join_node_ids,
+        plan.num_nodes,
+        plan.warm_cache,
+        plan.pipeline_cpu_cost,
+        plan.receive_cpu_cost,
     )
 
 

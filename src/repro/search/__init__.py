@@ -242,8 +242,10 @@ first-class objectives through the same stack:
    every feasible record then carries ``carbon_g`` / ``price_usd``.
    Weights-only evaluations price carbon at the curve's cycle mean; a
    timed simulator replay integrates the curve *exactly* against its
-   per-interval power timeline, so a diurnal gating policy earns its
-   true trough-time carbon credit.  Cost aggregation is linear in
+   piecewise-constant power timeline (inside the multiplexed loop for
+   a batch, over recorded intervals for a serial replay, with the same
+   bits), so a diurnal gating policy earns its true trough-time carbon
+   credit.  Cost aggregation is linear in
    (time, energy), so weight-summed suites price exactly; priced
    records cache under cost-model-fingerprinted keys, disjoint from
    unpriced rows;

@@ -44,7 +44,7 @@ from repro.costmodel.model import CostModel
 from repro.errors import ConfigurationError, ModelError, ReproError
 from repro.hardware.cluster import ClusterSpec
 from repro.pstore.planner import plan_join
-from repro.pstore.simulated import SimulatedPStore, trace_jobs
+from repro.pstore.simulated import SimulatedPStore, join_shape, trace_jobs
 from repro.search.grid import DesignCandidate
 from repro.simulator.engine import SimulationResult
 from repro.simulator.multiplex import run_multiplexed
@@ -524,17 +524,22 @@ class SimulatorEvaluator(SearchEvaluator):
     ) -> EvaluatedDesign:
         """Price one timed record against the run's actual timeline.
 
-        A time-of-day carbon curve integrates the simulation's recorded
-        intervals exactly — energy a gating policy shifted into the
-        trough is credited at trough intensity; flat intensities price
-        the energy total.  The priced figures are also stamped onto the
-        (mutable) :class:`SimulationResult` so downstream analysis of the
-        raw run sees the same numbers.  A ``None`` model is the identity.
+        A time-of-day carbon curve is integrated exactly against the
+        run's power timeline — energy a gating policy shifted into the
+        trough is credited at trough intensity.  A multiplexed run
+        arrives with that integral already in ``result.carbon_g``; a
+        serial run's recorded intervals are integrated here, with the
+        same bits.  Flat intensities price the energy total.  The priced
+        figures are also stamped onto the (mutable)
+        :class:`SimulationResult` so downstream analysis of the raw run
+        sees the same numbers.  A ``None`` model is the identity.
         """
         model = self.cost_model
         if model is None:
             return record
-        if model.time_varying:
+        if result.carbon_g is not None:
+            carbon = result.carbon_g
+        elif model.time_varying:
             carbon = model.carbon_g_timed(result.intervals)
         else:
             carbon = model.carbon_g(record.energy_j)
@@ -629,47 +634,75 @@ class SimulatorEvaluator(SearchEvaluator):
         *empty* schedule rides the multiplexed loop and is bit-identical
         to the bare trace.
 
-        A *time-varying* carbon curve also routes every candidate down
-        the serial path: exact integration needs each run's recorded
-        interval timeline, which the multiplexed fast path does not keep.
-        Flat-rate cost models price from the energy total and stay on the
-        fast path.
+        Cost models of every kind stay on the fast path.  A time-of-day
+        carbon curve is handed to the loop, which integrates each lane's
+        power timeline against it step by step; the grams are
+        bit-identical to the serial path's integral over recorded
+        intervals, so no interval is recorded here.  Flat-rate models
+        price the energy total.
+
+        Designs whose plans have the same shape
+        (:func:`~repro.pstore.simulated.join_shape`: same method, join
+        nodes and node count for this trace's queries) share one job
+        list, so a batch holds one list per shape rather than one per
+        design.  Each batch counts its candidates by route under
+        ``evaluator.route.*`` (see :mod:`repro.telemetry`).
         """
         telemetry = get_telemetry()
         telemetry.count("evaluator.trace_evals", len(candidates))
         faults = getattr(trace, "faults", None)
-        faulted = faults is not None and bool(getattr(faults, "events", ()))
-        timed_cost = self.cost_model is not None and self.cost_model.time_varying
+        if faults is not None and getattr(faults, "events", ()):
+            telemetry.count("evaluator.route.serial.faults", len(candidates))
+            return [evaluate_timed_design(self, c, trace) for c in candidates]
+        model = self.cost_model
+        curve = model.carbon_g_per_kwh if model is not None and model.time_varying else None
         records: list[EvaluatedDesign | None] = [None] * len(candidates)
         runs: list[tuple[int, DesignCandidate, object, list]] = []
+        shared_jobs: dict[tuple, list] = {}
+        serial = 0
         for position, candidate in enumerate(candidates):
             policy = getattr(candidate, "policy", None)
-            if faulted or timed_cost or (policy is not None and not policy.is_static):
+            if policy is not None and not policy.is_static:
+                serial += 1
                 records[position] = evaluate_timed_design(self, candidate, trace)
                 continue
             try:
                 cluster = candidate.cluster()
                 store = SimulatedPStore(cluster, record_intervals=False)
-                jobs = trace_jobs(self._trace_schedule(cluster, candidate, trace))
+                schedule = self._trace_schedule(cluster, candidate, trace)
+                # Every candidate replays this one trace, so its jobs are
+                # fixed by the shapes of its distinct plans.
+                shape = tuple(
+                    join_shape(plan)
+                    for plan in {id(plan): plan for plan, _ in schedule}.values()
+                )
+                jobs = shared_jobs.get(shape)
+                if jobs is None:
+                    jobs = shared_jobs[shape] = trace_jobs(schedule)
             except ConfigurationError:
                 raise
             except ReproError as exc:
                 records[position] = _infeasible_record(candidate, exc)
                 continue
             runs.append((position, candidate, store.simulator, jobs))
+        if serial:
+            telemetry.count("evaluator.route.serial.policy", serial)
         if runs:
             try:
                 with telemetry.span("sim.multiplexed"):
                     results = run_multiplexed(
-                        [(simulator, jobs) for _, _, simulator, jobs in runs]
+                        [(simulator, jobs) for _, _, simulator, jobs in runs],
+                        carbon_curve=curve,
                     )
             except ReproError:
                 telemetry.count("evaluator.multiplex_fallbacks", len(runs))
+                telemetry.count("evaluator.route.fallback.error", len(runs))
                 for position, candidate, _, _ in runs:
                     records[position] = evaluate_timed_design(
                         self, candidate, trace
                     )
             else:
+                telemetry.count("evaluator.route.multiplexed", len(runs))
                 for (position, candidate, _, _), result in zip(runs, results):
                     records[position] = self._trace_record(candidate, result)
         return records

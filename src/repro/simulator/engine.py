@@ -122,9 +122,10 @@ class SimulationResult:
     dropped_job_names: tuple[str, ...] = ()
     #: fault events whose onset fired before the run completed
     faults_survived: int = 0
-    #: grams of CO₂ this run emitted — stamped by a cost-model-bearing
-    #: evaluator (time-of-day curves integrate the interval trace), never
-    #: computed by the simulator itself; ``None`` without a cost model
+    #: grams of CO₂ this run emitted — integrated step by step by the
+    #: multiplexed loop when it is given a carbon curve, otherwise stamped
+    #: by a cost-model-bearing evaluator (time-of-day curves integrate the
+    #: interval trace); ``None`` without either
     carbon_g: float | None = None
     #: dollars this run cost (capex amortization + energy tariff) —
     #: stamped like ``carbon_g``; ``None`` without a cost model

@@ -42,6 +42,26 @@ per-node CPU-rate ``bincount``, one vectorized utilization pass, and one
 retirement gather then serve *all* lanes per iteration; only admissions,
 idle gaps, phase barriers, and the (memoized) utilization->watts map
 remain scalar, and each touches a handful of lanes or nodes per event.
+
+Carbon accumulation
+-------------------
+Given a :class:`~repro.costmodel.carbon.CarbonIntensityCurve`, the flat
+loop also prices each lane's power timeline in grams of CO₂, with no
+interval recording: every step (phase E) and every idle gap adds
+``cluster_power * curve.integral(start, end) / JOULES_PER_KWH`` to the
+lane's total.  The result is bit-identical to
+:meth:`~repro.costmodel.model.CostModel.carbon_g_timed` over the serial
+run's interval trace, because each term repeats that method's arithmetic
+on the same operands: cluster power is the lane's node powers added left
+to right in node order, one node column at a time (the order
+``sum(Interval.node_power_w)`` adds in; ``np.sum`` may add pairwise); a
+stretch runs from the lane's time before it to the end the serial loop
+computes, ``t + dt`` for a step and ``t + (next_start - t)`` for a gap;
+every lane's step goes through one array call of the curve's own
+:meth:`~repro.costmodel.carbon.CarbonIntensityCurve.integral`, which
+gives each element the scalar call's bits; and terms accumulate from
+``0.0`` in time order.  Zero-length stretches integrate to ``0.0`` and
+leave the total unchanged.  Without a curve none of this runs.
 """
 
 from __future__ import annotations
@@ -50,7 +70,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.costmodel.carbon import CarbonIntensityCurve
+from repro.costmodel.model import JOULES_PER_KWH
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power import MIN_UTILIZATION
 from repro.simulator.allocation import (
     _EPSILON,
@@ -343,7 +365,12 @@ class _Lane:
         return bool(self.live_tid.size) or bool(self.pend_tids)
 
     def advance_flat(
-        self, t: float, events: int, live_count: int, max_events: int
+        self,
+        t: float,
+        events: int,
+        live_count: int,
+        max_events: int,
+        idle_gaps: list | None,
     ) -> tuple[float, int, bool]:
         """The scalar loop's head for flat-batch lanes.
 
@@ -351,7 +378,9 @@ class _Lane:
         engine's per-iteration order; flow state lives in the caller's
         global arrays, so liveness arrives as ``live_count``.  Returns
         ``(time, events, alive)`` — ``alive`` False once the lane has no
-        live flows and no arrivals left.
+        live flows and no arrivals left.  Each idle gap is appended to
+        ``idle_gaps`` (when given) as ``(lane index, start, end)``, for
+        the caller to price in carbon.
         """
         starts = self.starts
         n_jobs = len(starts)
@@ -376,6 +405,8 @@ class _Lane:
                 gap = next_start - t
                 if gap > 0:
                     self.eview += self._idle_state().powers * gap
+                    if idle_gaps is not None:
+                        idle_gaps.append((self.index, t, t + gap))
                 t = next_start
             # else: no live flows, nothing pending — finished (top of loop)
 
@@ -601,6 +632,7 @@ class _Lane:
 def run_multiplexed(
     runs: Sequence[tuple[ClusterSimulator, Sequence[Job]]],
     max_events: int = 1_000_000,
+    carbon_curve: CarbonIntensityCurve | None = None,
 ) -> list[SimulationResult]:
     """Advance every (simulator, jobs) run on one multiplexed event loop.
 
@@ -615,9 +647,21 @@ def run_multiplexed(
     simulator records intervals take a per-lane loop (the scalar
     allocator supplies their bottleneck bindings).  Lane independence
     makes the partition invisible in the results.
+
+    With a ``carbon_curve``, every result also carries ``carbon_g``: the
+    run's grams of CO₂ under that curve, integrated inside the loop and
+    bit-identical to pricing the serial run's intervals (see *Carbon
+    accumulation* above).  Only interval-free runs take a curve; a
+    recording run is priced from its intervals instead, so mixing the
+    two raises :class:`~repro.errors.ConfigurationError`.
     """
     if not runs:
         return []
+    if carbon_curve is not None and any(sim.record_intervals for sim, _ in runs):
+        raise ConfigurationError(
+            "carbon_curve is integrated on interval-free runs only; price a "
+            "recording run from its intervals (CostModel.carbon_g_timed)"
+        )
     template_cache: dict = {}
     flat: list[tuple[int, _Lane]] = []
     recorded: list[tuple[int, _Lane]] = []
@@ -629,7 +673,7 @@ def run_multiplexed(
     results: list[SimulationResult | None] = [None] * len(runs)
     if flat:
         for (position, _), result in zip(
-            flat, _run_flat([lane for _, lane in flat], max_events)
+            flat, _run_flat([lane for _, lane in flat], max_events, carbon_curve)
         ):
             results[position] = result
     if recorded:
@@ -645,14 +689,18 @@ def run_multiplexed(
 
 
 def _run_flat(
-    lanes: list[_Lane], max_events: int
+    lanes: list[_Lane],
+    max_events: int,
+    carbon_curve: CarbonIntensityCurve | None,
 ) -> list[SimulationResult]:
     """Flat-array event loop for interval-free lanes.
 
     All per-flow and per-demand-entry state is global (lane-contiguous,
     scalar live-list order within each lane); every iteration performs a
     fixed number of whole-array operations plus scalar work proportional
-    to the handful of lanes admitting jobs or flows retiring.
+    to the handful of lanes admitting jobs or flows retiring.  A
+    ``carbon_curve`` adds the per-lane carbon totals of the module
+    docstring's *Carbon accumulation*.
     """
     n_lanes = len(lanes)
     n_nodes_arr = np.array([lane.n_nodes for lane in lanes], dtype=np.int64)
@@ -698,6 +746,30 @@ def _run_flat(
 
     for l, lane in enumerate(lanes):
         lane.eview = node_energy[node_off[l] : node_off[l + 1]]
+
+    idle_gaps: list | None = None
+    if carbon_curve is not None:
+        lane_carbon = np.zeros(n_lanes)
+        lane_power = np.zeros(n_lanes)
+        idle_gaps = []
+        first_node = node_off[:-1]
+        #: (lanes with a k-th node, that node's global id) for k >= 1
+        node_columns = [
+            (rows, first_node[rows] + k)
+            for k in range(1, int(n_nodes_arr.max()))
+            for rows in [np.nonzero(n_nodes_arr > k)[0]]
+        ]
+
+        def cluster_power(node_watts: np.ndarray) -> np.ndarray:
+            """Per-lane sum of node watts, one node column at a time."""
+            total = node_watts[first_node]
+            for rows, idx in node_columns:
+                total[rows] += node_watts[idx]
+            return total
+
+        idle_power = cluster_power(
+            np.concatenate([lane._idle_state().powers for lane in lanes])
+        )
 
     nnet = [0] * n_lanes
     eff = [1.0] * n_lanes
@@ -751,7 +823,11 @@ def _run_flat(
         for l in att.tolist():
             lane = lanes[l]
             t, ev, alive = lane.advance_flat(
-                float(time_arr[l]), int(events[l]), int(flow_count[l]), max_events
+                float(time_arr[l]),
+                int(events[l]),
+                int(flow_count[l]),
+                max_events,
+                idle_gaps,
             )
             time_arr[l] = t
             events[l] = ev
@@ -765,6 +841,17 @@ def _run_flat(
                 if lane.cursor < len(lane.starts)
                 else np.inf
             )
+        if idle_gaps:
+            # in list order, so one lane's gaps add up in time order
+            gap_lane, gap_start, gap_end = map(np.array, zip(*idle_gaps))
+            np.add.at(
+                lane_carbon,
+                gap_lane,
+                idle_power[gap_lane]
+                * carbon_curve.integral(gap_start, gap_end)
+                / JOULES_PER_KWH,
+            )
+            idle_gaps.clear()
         if not active.any():
             break
 
@@ -910,6 +997,8 @@ def _run_flat(
                     watts[k] = w
                 node_power[changed] = watts
                 node_util = util
+                if carbon_curve is not None:
+                    lane_power = cluster_power(node_power)
             node_cpu_prev = node_cpu
 
         # -- phase E: advance every lane to its own next event
@@ -925,7 +1014,15 @@ def _run_flat(
                 "simulation stalled: live flows have zero rate and no "
                 "pending events"
             )
-        time_arr[sl] += dt
+        step_start = time_arr[sl]
+        step_end = step_start + dt
+        time_arr[sl] = step_end
+        if carbon_curve is not None:
+            lane_carbon[sl] += (
+                lane_power[sl]
+                * carbon_curve.integral(step_start, step_end)
+                / JOULES_PER_KWH
+            )
         if sl.size == n_lanes:
             node_energy += node_power * np.repeat(dt, n_nodes_arr)
         else:
@@ -1000,6 +1097,7 @@ def _run_flat(
             job_start_s=lane.job_start,
             job_completion_s=lane.job_completion,
             intervals=lane.intervals,
+            carbon_g=None if carbon_curve is None else float(lane_carbon[l]),
         )
         for l, lane in enumerate(lanes)
         for energy_slice in [node_energy[node_off[l] : node_off[l + 1]].tolist()]

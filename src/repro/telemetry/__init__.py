@@ -24,6 +24,15 @@ What gets recorded (when enabled):
   snapshot ships back over the chunk-result channel and merges under the
   parent's ``search.dispatch``), plus ``search.dispatch.chunks`` /
   ``search.dispatch.tasks`` / ``search.dispatch.retries`` counters;
+* the evaluators — ``evaluator.query_evals`` / ``evaluator.trace_evals``
+  (joins and timed candidates evaluated in batches), and the route each
+  candidate of a ``SimulatorEvaluator`` timed batch took, added once per
+  batch: ``evaluator.route.multiplexed`` (records from the multiplexed
+  loop, time-of-day carbon included), ``evaluator.route.serial.policy``
+  (a dynamic control policy), ``evaluator.route.serial.faults`` (a
+  non-empty fault schedule) and ``evaluator.route.fallback.error`` (the
+  loop raised, so the batch replayed serially; also counted as
+  ``evaluator.multiplex_fallbacks``);
 * the simulators — ``sim.runs`` (one per serial run, whatever its event
   sources) / ``sim.events``, control-tick counters (``sim.control.*``,
   runs with a dynamic policy), fault accounting (``sim.faults.*``, runs

@@ -4,7 +4,10 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel import CarbonIntensityCurve, CostModel, JOULES_PER_KWH
 from repro.errors import ConfigurationError
@@ -32,6 +35,15 @@ class TestCarbonIntensityCurve:
             CarbonIntensityCurve(slots=(100.0,), period_s=0.0)
         with pytest.raises(ConfigurationError, match="slots"):
             CarbonIntensityCurve.diurnal(100.0, 500.0, slots=0)
+        # non-finite inputs: NaN slips past every bare comparison
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                CarbonIntensityCurve(slots=(100.0, bad), period_s=86400.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="period"):
+                CarbonIntensityCurve(slots=(100.0,), period_s=bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            CarbonIntensityCurve.diurnal(math.nan, 500.0)
 
     def test_at_reads_the_slot_in_force(self):
         curve = CarbonIntensityCurve(slots=(10.0, 20.0, 30.0, 40.0), period_s=4.0)
@@ -93,6 +105,29 @@ class TestCarbonIntensityCurve:
         split = curve.integral(1.0, 25.0) + curve.integral(25.0, 77.0)
         assert whole == pytest.approx(split)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=24),
+        st.floats(0.01, 500.0),
+        st.lists(
+            st.tuples(st.floats(-2000.0, 2000.0), st.floats(-5.0, 3000.0)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_array_integral_equals_scalar_bit_for_bit(self, slots, period, spans):
+        """One call over an array of stretches gives every element the
+        scalar call's exact bits (the multiplexed loop relies on it)."""
+        curve = CarbonIntensityCurve(slots=tuple(slots), period_s=period)
+        # include stretches that start or end on slot boundaries
+        spans = spans + [(k * curve.slot_s, 2 * curve.slot_s) for k in range(-2, 3)]
+        starts = [s for s, _ in spans]
+        ends = [s + d for s, d in spans]
+        batch = curve.integral(np.array(starts), np.array(ends))
+        scalar = [curve.integral(s, e) for s, e in zip(starts, ends)]
+        assert all(type(value) is float for value in scalar)
+        assert batch.tolist() == scalar
+
     def test_fingerprint_is_primitive_and_value_keyed(self):
         a = CarbonIntensityCurve(slots=(1.0, 2.0), period_s=10.0)
         b = CarbonIntensityCurve(slots=(1.0, 2.0), period_s=10.0)
@@ -114,6 +149,16 @@ class TestCostModel:
             CostModel(capex_usd_per_node_hour={"beefy": -0.5})
         with pytest.raises(ConfigurationError, match="default capex"):
             CostModel(default_capex_usd_per_node_hour=-0.5)
+        # non-finite inputs would reach Pareto selection as NaN prices
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="tariff"):
+                CostModel(tariff_usd_per_kwh=bad)
+            with pytest.raises(ConfigurationError, match="carbon"):
+                CostModel(carbon_g_per_kwh=bad)
+            with pytest.raises(ConfigurationError, match="capex"):
+                CostModel(capex_usd_per_node_hour={"beefy": bad})
+            with pytest.raises(ConfigurationError, match="default capex"):
+                CostModel(default_capex_usd_per_node_hour=bad)
 
     def test_capex_mapping_is_canonicalized_hashable_and_comparable(self):
         a = CostModel(capex_usd_per_node_hour={"b": 2.0, "a": 1.0})

@@ -10,8 +10,11 @@ exports and Study selections.
 
 import csv
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel import CarbonIntensityCurve, CostModel, JOULES_PER_KWH
 from repro.errors import ConfigurationError, ModelError
@@ -24,6 +27,9 @@ from repro.search import (
     ModelEvaluator,
     SimulatorEvaluator,
 )
+from repro.search import evaluators
+from repro.search.evaluators import evaluate_timed_design
+from repro.simulator.multiplex import run_multiplexed
 from repro.study import Study
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.protocol import TimedTrace
@@ -46,6 +52,58 @@ def small_trace(count=4, rate=0.05, seed=3) -> TimedTrace:
     query = q3_join(100, 0.05, 0.05)
     return TimedTrace.from_schedule(
         "poisson-q3", query, poisson_arrivals(count, rate_per_s=rate, seed=seed)
+    )
+
+
+#: one batch mixes cluster sizes (solo runs take 0.6-6.7 s); ten nodes are
+#: enough for a pairwise sum of node powers to differ from a left-to-right one
+MIXED_GRID = DesignGrid(
+    node_pairs=((CLUSTER_V_NODE, WIMPY_LAPTOP_B),),
+    cluster_sizes=(2, 3, 4, 10),
+)
+
+
+@st.composite
+def priced_batches(draw):
+    """A carbon curve, a gappy trace and a mixed-size batch of designs.
+
+    Periods run from a fraction of a simulation step to beyond the trace,
+    so some stretches span whole cycles; some arrivals sit exactly on
+    slot boundaries; some gaps outlast every job, so the cluster idles.
+    """
+    slots = draw(st.lists(st.floats(0.0, 900.0), min_size=1, max_size=24))
+    period = 10.0 ** draw(st.floats(-2.0, 2.5))
+    curve = CarbonIntensityCurve(slots=tuple(slots), period_s=period)
+    times = []
+    t = 0.0
+    for _ in range(draw(st.integers(1, 5))):
+        t += draw(st.one_of(st.floats(0.0, 2.0), st.floats(8.0, 40.0)))
+        if draw(st.booleans()):
+            # snap onto the slot boundary at or after t
+            t = math.ceil(t / curve.slot_s) * curve.slot_s
+        times.append(t)
+    trace = TimedTrace.from_schedule("drawn-q3", q3_join(100, 0.05, 0.05), times)
+    candidates = draw(
+        st.lists(
+            st.sampled_from(MIXED_GRID.candidate_list()),
+            min_size=2,
+            max_size=6,
+            unique_by=lambda c: c.label,
+        )
+    )
+    return curve, trace, candidates
+
+
+def exact_view(point):
+    """Every field the batch/serial parity tests compare with ``==``."""
+    return (
+        point.label,
+        point.feasible,
+        point.time_s,
+        point.energy_j,
+        point.latency,
+        point.carbon_g,
+        point.price_usd,
     )
 
 
@@ -205,28 +263,76 @@ class TestTimedPricing:
         assert timed.energy_j == bare.energy_j
         assert timed.latency == bare.latency
 
-    def test_trace_batch_equals_serial_under_time_varying_model(self):
-        """The multiplexed batch path routes time-varying pricing to the
-        serial evaluator, so both paths must agree record-for-record."""
+    @settings(max_examples=80, deadline=None)
+    @given(priced_batches())
+    def test_trace_batch_equals_serial_under_time_varying_model(self, drawn):
+        """The multiplexed loop integrates the curve itself; every record
+        must equal its serial replay, which integrates recorded intervals
+        — exactly, on every field, carbon included."""
+        curve, trace, candidates = drawn
         evaluator = SimulatorEvaluator(
             cost_model=CostModel(
                 tariff_usd_per_kwh=0.1,
-                carbon_g_per_kwh=CarbonIntensityCurve.diurnal(
-                    100.0, 500.0, period_s=200.0
-                ),
+                carbon_g_per_kwh=curve,
+                capex_usd_per_node_hour={"cluster-V": 0.8},
             )
         )
-        trace = small_trace()
-        candidates = GRID.candidate_list()
         batch = evaluator.evaluate_trace_batch(trace, candidates)
-        serial = [evaluator.evaluate_trace(c, trace) for c in candidates]
-        assert [
-            (p.label, p.time_s, p.energy_j, p.carbon_g, p.price_usd)
-            for p in batch
-        ] == [
-            (p.label, p.time_s, p.energy_j, p.carbon_g, p.price_usd)
-            for p in serial
+        serial = [evaluate_timed_design(evaluator, c, trace) for c in candidates]
+        assert [exact_view(p) for p in batch] == [exact_view(p) for p in serial]
+        assert all(p.carbon_g is not None for p in batch if p.feasible)
+
+    def test_idle_gap_ends_where_the_serial_loop_ends_it(self):
+        """A gap from ``t`` to the next arrival ends at ``t + (arrival -
+        t)``, which can miss the arrival by an ulp; integrating up to the
+        arrival instead changes the carbon total's last bits here."""
+        design = {c.label: c for c in GRID.candidate_list()}["0B,4W"]
+        query = q3_join(100, 0.05, 0.05)
+        idle_from = SimulatorEvaluator().evaluate_query(design, query).time_s
+        arrival = 11.831578997141376
+        assert idle_from + (arrival - idle_from) != arrival
+        evaluator = SimulatorEvaluator(
+            cost_model=CostModel(
+                carbon_g_per_kwh=CarbonIntensityCurve.diurnal(
+                    100.0, 500.0, period_s=30.0
+                )
+            )
+        )
+        trace = TimedTrace.from_schedule("q3", query, [0.0, arrival])
+        (batch,) = evaluator.evaluate_trace_batch(trace, [design])
+        assert exact_view(batch) == exact_view(evaluator.evaluate_trace(design, trace))
+
+    def test_equal_shapes_share_one_job_list(self, monkeypatch):
+        """Designs of one size plan alike and replay one shared job list;
+        a design of another size gets its own, and every record still
+        equals its serial replay."""
+        lanes = []
+
+        def spy(runs, **kwargs):
+            lanes.extend(jobs for _, jobs in runs)
+            return run_multiplexed(runs, **kwargs)
+
+        monkeypatch.setattr(evaluators, "run_multiplexed", spy)
+        by_label = {c.label: c for c in MIXED_GRID.candidate_list()}
+        candidates = [
+            by_label["2B,2W|n4"],
+            by_label["0B,4W|n4"],
+            by_label["2B,1W|n3"],
+            by_label["4B,0W|n4"],
         ]
+        evaluator = SimulatorEvaluator(
+            cost_model=CostModel(
+                carbon_g_per_kwh=CarbonIntensityCurve.diurnal(
+                    100.0, 500.0, period_s=30.0
+                )
+            )
+        )
+        trace = small_trace(count=5, rate=0.2)
+        batch = evaluator.evaluate_trace_batch(trace, candidates)
+        assert lanes[0] is lanes[1] is lanes[3]
+        assert lanes[2] is not lanes[0]
+        serial = [evaluate_timed_design(evaluator, c, trace) for c in candidates]
+        assert [exact_view(p) for p in batch] == [exact_view(p) for p in serial]
 
 
 class TestCachePartitioning:

@@ -10,9 +10,12 @@ multi-phase jobs (barriers), staggered arrivals (idle gaps and admission
 ties), and lanes finishing at different times.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.costmodel import CarbonIntensityCurve, CostModel
+from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.node import NodeSpec
 from repro.hardware.power import IdlePeakModel, PowerLawModel
@@ -127,6 +130,45 @@ def test_batch_composition_independence(lanes, data):
     )
     for got, ref in zip(together, apart):
         assert_identical(got, ref)
+
+
+#: periods from a fraction of one step to beyond a whole run
+carbon_curves = st.builds(
+    CarbonIntensityCurve,
+    slots=st.lists(st.floats(0.0, 900.0), min_size=1, max_size=24).map(tuple),
+    period_s=st.floats(-2.0, 1.5).map(lambda exponent: 10.0**exponent),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(lane_jobs(), min_size=1, max_size=4), carbon_curves)
+def test_carbon_matches_interval_pricing(lanes, curve):
+    """Given a curve, every lane's grams equal pricing its serial interval
+    trace with ``CostModel.carbon_g_timed``, bit for bit, and the rest of
+    the result is unchanged."""
+    runs = [
+        (ClusterSimulator(cluster, switch=SMC_GS5_SWITCH, record_intervals=False), jobs)
+        for cluster, jobs in lanes
+    ]
+    model = CostModel(carbon_g_per_kwh=curve)
+    for (cluster, jobs), got in zip(lanes, run_multiplexed(runs, carbon_curve=curve)):
+        recorded = oracle_run(cluster, jobs, True)
+        assert got.carbon_g == model.carbon_g_timed(recorded.intervals)
+        assert_identical(got, oracle_run(cluster, jobs, False))
+
+
+def test_carbon_curve_needs_interval_free_runs():
+    """A recording run is priced from its intervals, never by the loop."""
+    cluster = ClusterSpec.homogeneous(BEEFY, 1)
+    job = Job(
+        name="j",
+        phases=(Phase("p", (FlowSpec("f", 50.0, {cpu(0): 1.0}),)),),
+    )
+    with pytest.raises(ConfigurationError, match="interval-free"):
+        run_multiplexed(
+            [(ClusterSimulator(cluster, record_intervals=True), [job])],
+            carbon_curve=CarbonIntensityCurve(slots=(100.0,), period_s=10.0),
+        )
 
 
 def test_empty_batch():

@@ -1,0 +1,104 @@
+"""Why each candidate took its route: ``evaluator.route.*`` counters.
+
+:meth:`SimulatorEvaluator.evaluate_trace_batch` counts every batch's
+candidates by route, once per batch: ``multiplexed`` (records came from
+the multiplexed loop), ``serial.policy`` (a dynamic control policy),
+``serial.faults`` (a non-empty fault schedule) and ``fallback.error``
+(the loop raised and the batch replayed serially).  Time-of-day carbon
+has no route of its own: it rides the loop.
+"""
+
+import pytest
+
+from repro.costmodel import CarbonIntensityCurve, CostModel
+from repro.errors import SimulationError
+from repro.faults import FailurePolicy, FaultSchedule, NodeCrash
+from repro.hardware.powerstate import PowerStateModel
+from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
+from repro.policy import PolicyCandidate, PowerGatePolicy, StaticPolicy
+from repro.search import DesignGrid, SimulatorEvaluator
+from repro.search import evaluators
+from repro.telemetry import capture
+from repro.workloads.arrivals import periodic_arrivals
+from repro.workloads.protocol import TimedTrace
+from repro.workloads.queries import q3_join
+
+DESIGNS = DesignGrid(
+    node_pairs=((CLUSTER_V_NODE, WIMPY_LAPTOP_B),),
+    cluster_sizes=(3, 4),
+).candidate_list()[:4]
+
+GATE = PowerGatePolicy(
+    utilization_floor=0.05,
+    min_idle_s=2.0,
+    transitions=PowerStateModel(shutdown_s=0.1, boot_s=0.2),
+)
+
+CARBON = CostModel(
+    carbon_g_per_kwh=CarbonIntensityCurve.diurnal(100.0, 500.0, period_s=60.0)
+)
+
+
+def trace() -> TimedTrace:
+    return TimedTrace.from_schedule(
+        "periodic-q3", q3_join(100, 0.05, 0.05), periodic_arrivals(3, interval_s=15.0)
+    )
+
+
+def routes(evaluator, trace, candidates) -> dict:
+    with capture() as telemetry:
+        records = evaluator.evaluate_trace_batch(trace, candidates)
+    assert len(records) == len(candidates)
+    return {
+        name: value
+        for name, value in telemetry.counters.items()
+        if name.startswith("evaluator.route.")
+    }
+
+
+def test_mixed_batch_counts_each_candidate_once():
+    """Bare designs, static and dynamic policies, priced on a carbon
+    curve: only the dynamic policies leave the loop."""
+    batch = [
+        DESIGNS[0],
+        PolicyCandidate(design=DESIGNS[0], policy=StaticPolicy()),
+        PolicyCandidate(design=DESIGNS[1], policy=GATE, control_interval_s=0.5),
+        DESIGNS[2],
+        PolicyCandidate(design=DESIGNS[3], policy=GATE, control_interval_s=0.5),
+        DESIGNS[3],
+    ]
+    assert routes(SimulatorEvaluator(cost_model=CARBON), trace(), batch) == {
+        "evaluator.route.multiplexed": 4,
+        "evaluator.route.serial.policy": 2,
+    }
+
+
+def test_faulted_batch_is_all_serial():
+    faulted = trace().with_faults(
+        FaultSchedule(events=(NodeCrash(node=1, at_s=0.5, recover_at_s=6.0),)),
+        failure_policy=FailurePolicy.abort_and_retry(backoff_base_s=1.0),
+    )
+    assert routes(SimulatorEvaluator(), faulted, DESIGNS) == {
+        "evaluator.route.serial.faults": 4,
+    }
+
+
+def test_loop_error_falls_back_per_batch(monkeypatch):
+    def broken(runs, **kwargs):
+        raise SimulationError("lane stalled")
+
+    monkeypatch.setattr(evaluators, "run_multiplexed", broken)
+    assert routes(SimulatorEvaluator(), trace(), DESIGNS) == {
+        "evaluator.route.fallback.error": 4,
+    }
+
+
+@pytest.mark.parametrize("cost_model", [None, CARBON])
+def test_batches_accumulate(cost_model):
+    """Counts are per candidate and add up across batches; a carbon
+    curve changes no candidate's route."""
+    evaluator = SimulatorEvaluator(cost_model=cost_model)
+    with capture() as telemetry:
+        evaluator.evaluate_trace_batch(trace(), DESIGNS[:3])
+        evaluator.evaluate_trace_batch(trace(), DESIGNS[3:])
+    assert telemetry.counter("evaluator.route.multiplexed") == 4
