@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint pytest bench bench-json search-demo profile perf
+.PHONY: test lint pytest bench bench-json search-demo profile perf perf-pairs
 
 # Tier-1 verification: lint (when available) + the unit/integration
 # suite (benchmarks are opt-in).
@@ -57,3 +57,16 @@ profile:
 perf:
 	$(PYTHON) benchmarks/perf/run.py
 	$(PYTHON) -m pytest benchmarks/perf -q
+
+# Alternating parent/change pairs of the layered benchmark, judged by
+# compare.py: the evidence a performance claim needs.  PARENT is the
+# commit the working tree is compared against; an empty WORKLOAD runs
+# all six.  Example: make perf-pairs PARENT=main WORKLOAD=trace-policy
+PARENT ?= HEAD
+WORKLOAD ?=
+PAIRS ?= 10
+SEED ?= 11
+
+perf-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --pairs $(PAIRS) \
+		--seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))

@@ -13,6 +13,7 @@ run before powering nodes down actually pays?*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -38,6 +39,10 @@ class PowerStateModel:
     gated_power_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("shutdown_s", "boot_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.shutdown_s < 0 or self.boot_s < 0:
             raise ConfigurationError("transition times must be >= 0")
         if not 0.0 < self.transition_power_fraction <= 1.0:

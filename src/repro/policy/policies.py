@@ -220,7 +220,8 @@ class PowerGatePolicy(ControlPolicy):
             raise ConfigurationError(
                 f"min_active must be >= 0, got {self.min_active}"
             )
-        if self.min_idle_s < 0:
+        # NaN fails ``>= 0`` too; an infinite hysteresis means "never gate"
+        if not self.min_idle_s >= 0:
             raise ConfigurationError(
                 f"min_idle_s must be >= 0, got {self.min_idle_s}"
             )

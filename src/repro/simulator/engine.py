@@ -30,6 +30,25 @@ fault multiplier.  A job whose flows demand an inactive node is *held* at
 arrival until every node it needs is active again, so wake-up and
 recovery latency show up in its response time exactly where a production
 cluster would pay it.
+
+Most events leave the allocation's inputs as they were: a control tick
+observes the same live flows the previous step ran, and a trace's
+replayed jobs bring back compositions seen earlier in the run.  ``run``
+therefore memoizes each allocation outcome — the flows' rates and
+binding resources, the per-node CPU rates, and the active nodes'
+utilizations and watts — in a dict keyed on exactly what the allocation
+reads: the live flows' specs in live order (by identity), the effective
+DVFS × straggler factors, and the network fault factor.  The key is
+complete because, for the simulator's fixed pool and switch, the
+allocation is a pure function of those three: switch efficiency depends
+only on how many live flows cross the network, which the specs fix, and
+power state, held jobs and time never enter it.  The memo is local to
+one ``run`` (identity keys are valid only while that run's jobs are
+alive) and is cleared whenever it reaches ``_ALLOCATION_MEMO_CAP``
+entries, so a long faulted run cannot grow it without bound.  A hit
+returns the very values a fresh allocation would compute, and events,
+their order and the order of every sum are unchanged, so results are
+bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -58,6 +77,9 @@ __all__ = [
 ]
 
 _COMPLETION_EPS = 1e-9
+
+#: entries the per-run allocation memo holds before it is cleared
+_ALLOCATION_MEMO_CAP = 1024
 
 #: node power states (re-exported by :mod:`repro.policy.policies`)
 ACTIVE = "active"
@@ -331,7 +353,7 @@ class ClusterSimulator:
         until: dict[int, float] = {}  # in-flight transition -> its end
         factors = [1.0] * num_nodes  # policy-set DVFS
         fault_mult = [1.0] * num_nodes  # straggler slowdowns
-        effective: list[float] | None = None
+        effective: tuple[float, ...] | None = None
         net_mult = 1.0
         crashed: dict[int, float] = {}  # node -> recovery time (inf = never)
         recovering: set[int] = set()  # crash recoveries still booting
@@ -341,6 +363,21 @@ class ClusterSimulator:
         gated_seconds = 0.0
         energy_saved = 0.0
         recovery_energy = 0.0
+        # A down node's watts depend on the node alone, so they are
+        # computed once — and only for the source that can take it down.
+        if dynamic:
+            gated_w = [model.gated_power_w(spec) for spec in specs]
+            switching_w = [
+                model.transition_power_fraction * spec.peak_power_w
+                for spec in specs
+            ]
+            idle_w = [spec.idle_power_w for spec in specs]
+        if timeline:
+            crashed_w = [fault_model.gated_power_w(spec) for spec in specs]
+            booting_w = [
+                fault_model.transition_power_fraction * spec.peak_power_w
+                for spec in specs
+            ]
 
         def set_state(node: int, new: str, end: float = math.inf) -> None:
             state[node] = new
@@ -355,7 +392,7 @@ class ClusterSimulator:
 
         def rescale() -> None:
             nonlocal effective
-            scaled = [f * m for f, m in zip(factors, fault_mult)]
+            scaled = tuple(f * m for f, m in zip(factors, fault_mult))
             effective = scaled if any(s != 1.0 for s in scaled) else None
 
         def needed_nodes(index: int) -> frozenset[int]:
@@ -376,44 +413,65 @@ class ClusterSimulator:
             job_phase[index] = None
             phase_live_count[index] = 0
 
-        def integrate(rates: Sequence[float], bindings, dt: float) -> None:
-            """Per-state energy over one piecewise-constant stretch."""
-            nonlocal gated_seconds, energy_saved, recovery_energy
-            if dt <= 0:
-                return
+        # The allocation memo (see the module docstring): key -> (rates,
+        # bindings, per-node CPU rates, utilizations and watts as if every
+        # node were active).
+        memo: dict[tuple, tuple] = {}
+        allocations = 0
+
+        def allocation() -> tuple:
+            """The live set's allocation outcome, computed on a memo miss."""
+            nonlocal allocations
+            key = (tuple([id(flow.spec) for flow in live]), effective, net_mult)
+            entry = memo.get(key)
+            if entry is not None:
+                return entry
+            if live:
+                allocations += 1
+                rates, bindings = self._allocate(live, effective, net_mult)
+            else:
+                rates, bindings = [], []
             cpu_rates = self._cpu_rates(live, rates)
             utils = []
             powers = []
             for node_id, spec in enumerate(specs):
-                if node_id not in down:
-                    if effective is not None:
-                        spec = self._dvfs_spec(node_id, effective[node_id])
-                    util = spec.utilization(cpu_rates[node_id])
-                    watts = spec.power_model.power(util)
-                else:
-                    util = 0.0
+                if effective is not None:
+                    spec = self._dvfs_spec(node_id, effective[node_id])
+                util = spec.utilization(cpu_rates[node_id])
+                utils.append(util)
+                powers.append(spec.power_model.power(util))
+            if len(memo) >= _ALLOCATION_MEMO_CAP:
+                memo.clear()
+            entry = memo[key] = (rates, bindings, cpu_rates, utils, powers)
+            return entry
+
+        def integrate(entry: tuple, dt: float) -> None:
+            """Per-state energy over one piecewise-constant stretch."""
+            nonlocal gated_seconds, energy_saved, recovery_energy
+            if dt <= 0:
+                return
+            _, bindings, _, utils, powers = entry
+            if down:
+                utils = list(utils)
+                powers = list(powers)
+                for node_id in sorted(down):
+                    utils[node_id] = 0.0
                     if node_id in crashed:
                         # The failure model's standby residual.  No savings
                         # credit: a crash is not a policy decision.
-                        watts = fault_model.gated_power_w(spec)
+                        watts = crashed_w[node_id]
                     elif node_id in recovering:
-                        watts = (
-                            fault_model.transition_power_fraction
-                            * spec.peak_power_w
-                        )
+                        watts = booting_w[node_id]
                         recovery_energy += watts * dt
                     else:
                         if state[node_id] == GATED:
-                            watts = model.gated_power_w(spec)
+                            watts = gated_w[node_id]
                             gated_seconds += dt
                         else:  # policy-driven gating or waking
-                            watts = (
-                                model.transition_power_fraction
-                                * spec.peak_power_w
-                            )
-                        energy_saved += (spec.idle_power_w - watts) * dt
-                utils.append(util)
-                powers.append(watts)
+                            watts = switching_w[node_id]
+                        energy_saved += (idle_w[node_id] - watts) * dt
+                    powers[node_id] = watts
+            for node_id, watts in enumerate(powers):
                 node_energy[node_id] += watts * dt
             if self.record_intervals:
                 intervals.append(
@@ -545,8 +603,7 @@ class ClusterSimulator:
             nonlocal next_tick_s, ticks, gate_actions, ungate_actions
             nonlocal freq_actions
             ticks += 1
-            rates = self._allocate(live, effective, net_mult)[0] if live else []
-            cpu_rates = self._cpu_rates(live, rates)
+            cpu_rates = allocation()[2]
             loads = tuple(
                 min(
                     1.0,
@@ -570,15 +627,18 @@ class ClusterSimulator:
                 held_jobs=len(held),
                 idle_s=time_s - last_busy_s,
             )
-            # A running job owns every node any of its phases demands —
-            # gating one mid-job would strand a later phase.
-            demanded = frozenset(
-                node for flow in live for node in needed_nodes(flow.job_index)
-            )
+            demanded = None  # built on the first GateNode, its only reader
             stepped = False
             for action in policy.observe(snapshot):
                 if isinstance(action, GateNode):
                     node = action.node_id
+                    if demanded is None:
+                        # A running job owns every node any of its phases
+                        # demands — gating one mid-job would strand a
+                        # later phase.
+                        demanded = frozenset(
+                            n for flow in live for n in needed_nodes(flow.job_index)
+                        )
                     if (
                         0 <= node < num_nodes
                         and state[node] == ACTIVE
@@ -684,11 +744,12 @@ class ClusterSimulator:
                 # Idle until the next event: the cluster still draws idle
                 # power, and ticks still fire (that is when gating happens,
                 # and how held jobs get their nodes woken).
-                integrate([], [], horizon - time_s)
+                integrate(allocation(), horizon - time_s)
                 time_s = max(time_s, horizon)
                 continue
 
-            rates, bindings = self._allocate(live, effective, net_mult)
+            entry = allocation()
+            rates = entry[0]
             dt = horizon - time_s
             for flow, rate in zip(live, rates):
                 if rate > 0:
@@ -699,7 +760,7 @@ class ClusterSimulator:
                     "pending events"
                 )
 
-            integrate(rates, bindings, dt)
+            integrate(entry, dt)
             for flow, rate in zip(live, rates):
                 flow.remaining_mb -= rate * dt
             time_s += dt
@@ -727,6 +788,7 @@ class ClusterSimulator:
         if telemetry.enabled:
             telemetry.count("sim.runs")
             telemetry.count("sim.events", events)
+            telemetry.count("sim.allocations", allocations)
             if dynamic:
                 telemetry.count("sim.control.ticks", ticks)
                 telemetry.count("sim.control.gate_actions", gate_actions)
@@ -808,12 +870,24 @@ class ClusterSimulator:
 
     # ----------------------------------------------------------------- helpers
     def _validate(self, jobs: Sequence[Job]) -> None:
+        """Reject empty or ambiguous job lists and unknown resources.
+
+        Jobs replayed from a trace share one phases tuple per query
+        template (:func:`~repro.pstore.simulated.trace_jobs`), so each
+        distinct tuple is checked against the pool once — a skipped one
+        has already passed, so verdicts and messages are the same as
+        checking every job's.
+        """
         if not jobs:
             raise SimulationError("no jobs to run")
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise SimulationError(f"duplicate job names: {names}")
+        seen: set[int] = set()
         for job in jobs:
+            if id(job.phases) in seen:
+                continue
+            seen.add(id(job.phases))
             for phase in job.phases:
                 for flow in phase.flows:
                     for resource in flow.demands:

@@ -201,7 +201,7 @@ class _Lane:
         jobs: Sequence[Job],
         template_cache: dict | None = None,
     ):
-        self._validate(simulator, jobs)
+        simulator._validate(jobs)
         self.index = index
         self.sim = simulator
         self.pool = simulator.pool
@@ -258,33 +258,6 @@ class _Lane:
         self._uni_size = 0
         self.state: _State | None = None
         self.dirty = True
-
-    @staticmethod
-    def _validate(simulator: ClusterSimulator, jobs: Sequence[Job]) -> None:
-        """The scalar engine's job validation, deduplicated by spec.
-
-        Jobs replayed from a trace share :class:`FlowSpec` objects, so
-        each distinct spec is checked against the pool once instead of
-        once per job — same verdicts as ``ClusterSimulator._validate``.
-        """
-        if not jobs:
-            raise SimulationError("no jobs to run")
-        names = [job.name for job in jobs]
-        if len(set(names)) != len(names):
-            raise SimulationError(f"duplicate job names: {names}")
-        seen: set[int] = set()
-        for job in jobs:
-            for phase in job.phases:
-                for flow in phase.flows:
-                    if id(flow) in seen:
-                        continue
-                    seen.add(id(flow))
-                    for resource in flow.demands:
-                        if resource not in simulator.pool:
-                            raise SimulationError(
-                                f"job {job.name!r} flow {flow.name!r} references "
-                                f"unknown resource {resource!r}"
-                            )
 
     # ------------------------------------------------------------- templates
     def _intern(self, spec: FlowSpec) -> tuple[_Template, int]:

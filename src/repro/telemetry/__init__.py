@@ -34,7 +34,10 @@ What gets recorded (when enabled):
   loop raised, so the batch replayed serially; also counted as
   ``evaluator.multiplex_fallbacks``);
 * the simulators — ``sim.runs`` (one per serial run, whatever its event
-  sources) / ``sim.events``, control-tick counters (``sim.control.*``,
+  sources) / ``sim.events`` / ``sim.allocations`` (the max-min
+  allocations the serial loop computed: misses of its per-run memo, so
+  ``sim.allocations / sim.events`` is the number of fresh allocations
+  per event), control-tick counters (``sim.control.*``,
   runs with a dynamic policy), fault accounting (``sim.faults.*``, runs
   with a non-empty fault schedule), and the multiplexed loop's iteration
   and allocation-kernel batch-size counters (``sim.multiplex.*``);

@@ -1,5 +1,7 @@
 """Power-state transition costs and downsizing break-even."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -26,6 +28,12 @@ def test_cycle_energy():
 def test_validation():
     with pytest.raises(ConfigurationError):
         PowerStateModel(shutdown_s=-1.0)
+    # A NaN boot would erase the wake-up latency, and an infinite
+    # transition would stall the simulator until its event guard trips.
+    for field in ("shutdown_s", "boot_s"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+                PowerStateModel(**{field: value})
     with pytest.raises(ConfigurationError):
         PowerStateModel(transition_power_fraction=0.0)
     with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Control-policy behavior: observe() semantics, validation, cache keys."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -114,6 +116,10 @@ class TestPowerGatePolicy:
             PowerGatePolicy(min_active=-1)
         with pytest.raises(ConfigurationError):
             PowerGatePolicy(min_idle_s=-0.1)
+        with pytest.raises(ConfigurationError):
+            PowerGatePolicy(min_idle_s=math.nan)
+        # infinite hysteresis is a valid "never gate"
+        assert PowerGatePolicy(min_idle_s=math.inf).min_idle_s == math.inf
 
     def test_cache_key_covers_transition_pricing(self):
         base = PowerGatePolicy()

@@ -3,14 +3,26 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults import (
+    FailurePolicy,
+    FaultSchedule,
+    NetworkDegrade,
+    NodeCrash,
+    Straggler,
+)
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.node import NodeSpec
 from repro.hardware.power import PowerLawModel
+from repro.hardware.powerstate import PowerStateModel
+from repro.policy import PowerGatePolicy
+from repro.simulator import engine
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.jobs import FlowSpec, Job, Phase
+from repro.simulator.multiplex import run_multiplexed
 from repro.simulator.network import SwitchModel
 from repro.simulator.resources import cpu, disk, nic_in, nic_out
 from repro.simulator.trace import energy_from_intervals, power_function, utilization_series
+from repro.telemetry import capture
 
 NODE = NodeSpec(
     name="n",
@@ -187,19 +199,36 @@ class TestSwitchContention:
         assert contended.makespan_s == pytest.approx(ideal.makespan_s)
 
 
+#: both entry points that validate a job list: the serial loop and one
+#: lane of the multiplexed loop
+RUNNERS = (
+    lambda sim, jobs: sim.run(jobs),
+    lambda sim, jobs: run_multiplexed([(sim, jobs)]),
+)
+
+
 class TestErrorsAndEdges:
     def test_no_jobs(self):
-        with pytest.raises(SimulationError):
-            ClusterSimulator(cluster(1)).run([])
+        for run in RUNNERS:
+            with pytest.raises(SimulationError, match="no jobs"):
+                run(ClusterSimulator(cluster(1)), [])
 
     def test_duplicate_job_names(self):
-        with pytest.raises(SimulationError, match="duplicate"):
-            ClusterSimulator(cluster(1)).run([single_flow_job(), single_flow_job()])
+        for run in RUNNERS:
+            with pytest.raises(SimulationError, match="duplicate"):
+                run(ClusterSimulator(cluster(1)), [single_flow_job(), single_flow_job()])
 
     def test_unknown_resource_in_flow(self):
-        bad = single_flow_job(demands={"disk:99": 1.0})
-        with pytest.raises(SimulationError, match="unknown resource"):
-            ClusterSimulator(cluster(1)).run([bad])
+        # The bad job follows a valid one and a replay sharing its phases,
+        # so a check that skips repeated phases must still reach it.
+        good = single_flow_job(name="good")
+        bad = single_flow_job(demands={"disk:99": 1.0}, name="bad")
+        again = Job(name="again", phases=good.phases)
+        for run in RUNNERS:
+            with pytest.raises(
+                SimulationError, match="job 'bad' flow 'f' references unknown resource"
+            ):
+                run(ClusterSimulator(cluster(1)), [good, again, bad])
 
     def test_zero_volume_phase_completes_instantly(self):
         job = Job(
@@ -290,3 +319,85 @@ class TestRegressions:
         result = sim.run([single_flow_job()])
         with pytest.raises(SimulationError, match="record_intervals"):
             result.mean_utilization(0)
+
+
+QUICK = PowerStateModel(shutdown_s=0.1, boot_s=0.2)
+
+
+def counted_allocator(monkeypatch) -> list:
+    """Count the serial loop's calls into the max-min allocator."""
+    calls = []
+    allocate = engine.max_min_fair_allocation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "max_min_fair_allocation", counting)
+    return calls
+
+
+def faulted_trace():
+    """Twelve staggered replays of three query templates over a crash, a
+    straggler and a degraded network: compositions that recur."""
+    def template(n):
+        scan = FlowSpec(f"s{n}", 120.0 + 40 * n, {disk(n): 1.0, cpu(n): 1.0})
+        ship = FlowSpec(
+            f"x{n}", 40.0, {cpu(n): 0.1, nic_out(n): 1.0, nic_in((n + 1) % 3): 1.0}
+        )
+        return (Phase("scan", (scan,)), Phase("ship", (ship,)))
+
+    templates = [template(n) for n in range(3)]
+    jobs = [
+        Job(name=f"j{i}", phases=templates[i % 3], start_time_s=0.6 * i)
+        for i in range(12)
+    ]
+    faults = FaultSchedule(
+        events=(
+            NodeCrash(node=1, at_s=0.9, recover_at_s=1.6),
+            Straggler(node=2, at_s=0.5, slowdown=0.5, duration_s=2.0),
+            NetworkDegrade(factor=0.6, at_s=1.2, duration_s=1.5),
+        )
+    )
+    return jobs, faults
+
+
+class TestAllocationMemo:
+    """The serial loop reuses allocations whose inputs repeat."""
+
+    def test_ticks_during_a_phase_reuse_its_allocation(self, monkeypatch):
+        """Long jobs ticked ~100 times a phase, gated between bursts: the
+        allocations computed stay far below the ticks that read them."""
+        calls = counted_allocator(monkeypatch)
+        phase = Phase("scan", (FlowSpec("f", 400.0, {disk(0): 1.0, cpu(0): 1.0}),))
+        jobs = [
+            Job(name=f"j{i}", phases=(phase,), start_time_s=start)
+            for i, start in enumerate((0.0, 1.0, 8.0, 8.5))
+        ]
+        policy = PowerGatePolicy(node_role="beefy", min_idle_s=1.0, transitions=QUICK)
+        with capture() as telemetry:
+            ClusterSimulator(cluster(2)).run(jobs, policy=policy, control_interval_s=0.02)
+        ticks = telemetry.counter("sim.control.ticks")
+        assert telemetry.counter("sim.control.gate_actions") > 0
+        assert ticks > 500
+        assert 0 < len(calls) < ticks / 10
+
+    def test_capped_memo_changes_no_result(self, monkeypatch):
+        """A memo cleared every second entry recomputes more often and
+        still returns exactly the default run's result."""
+        jobs, faults = faulted_trace()
+        retry = FailurePolicy.abort_and_retry(backoff_base_s=0.3, transitions=QUICK)
+        sim = ClusterSimulator(cluster(3), switch=SwitchModel(0.05))
+
+        def run():
+            with capture() as telemetry:
+                result = sim.run(jobs, faults=faults, failure_policy=retry)
+            return result, telemetry.counter("sim.allocations")
+
+        default, computed = run()
+        monkeypatch.setattr(engine, "_ALLOCATION_MEMO_CAP", 2)
+        capped, recomputed = run()
+        assert default.retried_jobs > 0
+        assert computed > 2
+        assert recomputed > computed
+        assert capped == default
