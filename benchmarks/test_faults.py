@@ -4,8 +4,8 @@ The claim behind :mod:`repro.faults` is twofold.  First, *do no harm*:
 an empty ``FaultSchedule`` must ride the multiplexed fast path and
 reproduce the healthy campaign bit for bit.  Second, *faults change the
 answer*: under a seeded crash-and-recover scenario aimed at the diurnal
-peak, the design ``best_under_degraded_sla`` selects differs from the
-one the healthy ``best_under_latency_sla`` rule picks at the same SLA —
+peak, the design ``best_under`` picks under a degraded-p99 limit with no
+shed queries differs from its pick under the healthy p99 limit —
 robustness costs real hardware, and the selector must surface that.
 
 Two gates, both hard:
@@ -29,8 +29,7 @@ import time
 from repro.faults import FailurePolicy, FaultSchedule, NodeCrash, Straggler
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
-from repro.search import DesignGrid, DesignSpaceSearch, SimulatorEvaluator
-from repro.search.pareto import best_under_degraded_sla, best_under_latency_sla
+from repro.search import DesignGrid, DesignSpaceSearch, SimulatorEvaluator, best_under
 from repro.workloads.arrivals import diurnal_arrivals
 from repro.workloads.protocol import TimedTrace
 from repro.workloads.queries import q3_join
@@ -124,8 +123,10 @@ def knee_shift(healthy_points, degraded_points) -> tuple[dict, bool]:
     """
     degraded_feasible = [p for p in degraded_points if p.feasible]
     sla_s = 1.05 * min(p.degraded_latency.p99_s for p in degraded_feasible)
-    healthy_pick = best_under_latency_sla(healthy_points, sla_s, metric="p99")
-    degraded_pick = best_under_degraded_sla(degraded_points, sla_s, metric="p99")
+    healthy_pick = best_under(healthy_points, {"response_p99_s": sla_s})
+    degraded_pick = best_under(
+        degraded_points, {"degraded_response_p99_s": sla_s, "dropped_jobs": 0}
+    )
     matchup = {
         "sla_p99_s": round(sla_s, 3),
         "healthy_label": healthy_pick.label,

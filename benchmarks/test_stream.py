@@ -144,7 +144,7 @@ def run_stream_bench(grid=FULL_GRID, events=EVENTS) -> dict:
 
     knee = campaign.knee()
     sla_s = min(p.latency.max_s for p in campaign.feasible_points) * 1.25
-    pick = campaign.best_under_latency_sla(sla_s)
+    pick = campaign.best_under({"response_max_s": sla_s})
     payload = {
         "benchmark": "timed-trace stream campaign (event-multiplexed)",
         "designs": len(candidates),

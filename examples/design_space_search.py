@@ -69,7 +69,7 @@ print(f"EDP-optimal design:   {edp_best.label} ({edp_best.edp:.3g} J*s)")
 # SLA-constrained selection: cheapest design within 40% of the fastest.
 fastest = min(p.time_s for p in feasible)
 sla = 1.4 * fastest
-winner = result.best_under_sla(sla)
+winner = result.best_under({"time_s": sla})
 print(
     f"\nBest design under a {sla:.0f} s SLA: {winner.label} "
     f"({winner.time_s:.1f} s, {winner.energy_j / 1e6:.2f} MJ)"

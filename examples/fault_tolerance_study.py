@@ -96,14 +96,16 @@ for before, after in zip(healthy.feasible_points, degraded.feasible_points):
 # headroom over the most robust design's degraded response that at least
 # one design survives the nemesis inside it.
 sla_s = 1.05 * min(p.degraded_latency.p99_s for p in degraded.feasible_points)
-best_healthy = healthy.best_under_latency_sla(sla_s, metric="p99")
+best_healthy = healthy.best_under({"response_p99_s": sla_s})
 print(f"\nAt a p99 SLA of {sla_s:.2f} s:")
 print(
     f"  healthy pick   {best_healthy.label:20s} "
     f"{best_healthy.energy_j / 1e3:7.1f} kJ"
 )
 try:
-    best_degraded = degraded.best_under_degraded_sla(sla_s, metric="p99")
+    best_degraded = degraded.best_under(
+        {"degraded_response_p99_s": sla_s, "dropped_jobs": 0}
+    )
 except Exception as exc:
     print(f"  no design meets the SLA under faults ({exc})")
 else:

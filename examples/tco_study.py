@@ -84,7 +84,7 @@ print(
 )
 print()
 budget = picks["price-optimal"].price_usd * 1.5
-capped = result.best_under_budget(budget)
+capped = result.best_under({"price_usd": budget}, minimize="time_s")
 print(
     f"Fastest design under a ${budget:.3f} budget: {capped.label} "
     f"({capped.time_s:.1f} s at ${capped.price_usd:.3f})"

@@ -123,7 +123,7 @@ for point in timed.feasible_points[:6]:
 
 # Least-energy design whose worst-case response time meets the SLA.
 sla_s = min(p.latency.max_s for p in timed.feasible_points) * 1.25
-pick = timed.best_under_latency_sla(sla_s)
+pick = timed.best_under({"response_max_s": sla_s})
 print(
     f"\nCheapest design with worst-case response <= {sla_s:.0f} s: "
     f"{pick.label} ({pick.energy_j / 1e6:.2f} MJ, "

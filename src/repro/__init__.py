@@ -128,8 +128,7 @@ from repro.search import (
     SearchSpace,
     SimulatorEvaluator,
     SuccessiveHalving,
-    best_under_budget,
-    best_under_carbon,
+    best_under,
 )
 from repro.study import OptimizationResult, Study, StudyResult
 from repro.workloads.protocol import (
@@ -204,8 +203,7 @@ __all__ = [
     "CostModel",
     "CarbonIntensityCurve",
     "Objective",
-    "best_under_budget",
-    "best_under_carbon",
+    "best_under",
     # dynamic cluster control
     "PowerStateModel",
     "TRADITIONAL_SERVER",

@@ -30,7 +30,6 @@ __all__ = [
     "search_to_dict",
     "frontier_to_csv",
     "search_to_json",
-    "tco_frontier_csv",
     "telemetry_to_dict",
     "telemetry_to_json",
     "trajectory_to_csv",
@@ -124,7 +123,7 @@ def search_to_rows(
     for point in result.points:
         candidate = point.candidate
         latency = point.latency
-        degraded = getattr(point, "degraded_latency", None)
+        degraded = point.degraded_latency
         rows.append(
             {
                 "label": point.label,
@@ -139,67 +138,48 @@ def search_to_rows(
                 "time_s": point.time_s if point.feasible else None,
                 "energy_j": point.energy_j if point.feasible else None,
                 "edp": point.edp if point.feasible else None,
-                "carbon_g": getattr(point, "carbon_g", None),
-                "price_usd": getattr(point, "price_usd", None),
+                "carbon_g": point.carbon_g,
+                "price_usd": point.price_usd,
                 "feasible": point.feasible,
                 "on_frontier": point.label in frontier_labels,
                 "response_mean_s": latency.mean_s if latency else None,
                 "response_p95_s": latency.p95_s if latency else None,
                 "response_p99_s": latency.p99_s if latency else None,
                 "response_max_s": latency.max_s if latency else None,
-                "policy": getattr(point, "policy", None),
-                "gated_node_seconds": getattr(point, "gated_node_seconds", None),
-                "energy_saved_j": getattr(point, "energy_saved_j", None),
+                "policy": point.policy,
+                "gated_node_seconds": point.gated_node_seconds,
+                "energy_saved_j": point.energy_saved_j,
                 "degraded_response_mean_s": degraded.mean_s if degraded else None,
                 "degraded_response_p95_s": degraded.p95_s if degraded else None,
                 "degraded_response_p99_s": degraded.p99_s if degraded else None,
                 "degraded_response_max_s": degraded.max_s if degraded else None,
-                "recovery_energy_j": getattr(point, "recovery_energy_j", None),
-                "retried_jobs": getattr(point, "retried_jobs", None),
-                "dropped_jobs": getattr(point, "dropped_jobs", None),
-                "faults_survived": getattr(point, "faults_survived", None),
+                "recovery_energy_j": point.recovery_energy_j,
+                "retried_jobs": point.retried_jobs,
+                "dropped_jobs": point.dropped_jobs,
+                "faults_survived": point.faults_survived,
             }
         )
     return rows
 
 
-def frontier_to_csv(result: SearchResult, frontier_only: bool = True) -> str:
-    """Search results as CSV text (by default just the Pareto frontier)."""
-    rows = search_to_rows(result)
+def frontier_to_csv(
+    result: SearchResult,
+    frontier_only: bool = True,
+    objectives: Sequence | None = None,
+) -> str:
+    """Search results as CSV text (by default just the Pareto frontier).
+
+    Frontier membership (``on_frontier``) is computed under
+    ``objectives`` — e.g. ``("time_s", "energy_j", "price_usd",
+    "carbon_g")`` for the TCO frontier of cost-model-priced points;
+    ``None`` is the classic (time, energy) pair.
+    """
+    labels = {point.label for point in result.pareto_frontier(objectives)}
+    rows = search_to_rows(result, frontier_labels=labels)
     if frontier_only:
         rows = [row for row in rows if row["on_frontier"]]
     if not rows:
         raise ReproError("no design points to export")
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_SEARCH_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def tco_frontier_csv(
-    result: SearchResult,
-    objectives: Sequence = ("time_s", "energy_j", "price_usd", "carbon_g"),
-) -> str:
-    """The multi-objective (TCO) frontier as CSV text.
-
-    Exports the Pareto frontier under ``objectives`` — by default the
-    full four-axis time/energy/price/carbon trade — with the same
-    columns as :func:`frontier_to_csv`, so downstream consumers read
-    both exports identically.  Frontier membership (``on_frontier``) is
-    computed under the same objectives.  Requires cost-model-priced
-    points when a cost axis is selected.
-    """
-    frontier = result.pareto_frontier(objectives=objectives)
-    if not frontier:
-        raise ReproError("no design points to export")
-    labels = {point.label for point in frontier}
-    rows = [
-        row
-        for row in search_to_rows(result, frontier_labels=labels)
-        if row["on_frontier"]
-    ]
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_SEARCH_FIELDS)
     writer.writeheader()

@@ -252,7 +252,9 @@ class DesignSpaceExplorer:
             total_time = 0.0
             total_energy = 0.0
             for query, weight in as_workload(workload).weighted_queries():
-                time_s, energy_j = self._evaluator(cluster, query)
+                time_s, energy_j = CallableEvaluator.checked(
+                    cluster.name, self._evaluator(cluster, query)
+                )
                 total_time += weight * time_s
                 total_energy += weight * energy_j
             return DesignPoint(

@@ -25,7 +25,8 @@ Quick use::
                               count=3, mttr_s=120.0, seed=7)
     degraded = engine.search(grid, trace.with_faults(scenario,
                                                      replication_factor=2))
-    pick = degraded.best_under_degraded_sla(30.0, metric="p99")
+    # least energy with p99 <= 30 s under the crashes, shedding no query
+    pick = degraded.best_under({"degraded_response_p99_s": 30.0, "dropped_jobs": 0})
 """
 
 from repro.faults.generators import (

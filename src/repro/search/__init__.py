@@ -20,9 +20,10 @@ This subsystem scales that exercise beyond the paper's single axis:
 * :mod:`repro.search.engine` — :class:`DesignSpaceSearch`, which fans
   cache misses out over a persistent ``multiprocessing`` pool with
   chunked dispatch and returns a :class:`SearchResult`;
-* :mod:`repro.search.pareto` — frontier extraction, knee location,
-  EDP-optimal and SLA-constrained selection (the Section 5.5/6 reading
-  rules applied to raw (time, energy) points);
+* :mod:`repro.search.pareto` — the selection layer: the
+  :class:`Objective` registry, frontier extraction, knee location, the
+  EDP optimum and :func:`best_under` (the Section 5.5/6 reading rules
+  applied to raw points, under any declared axes);
 * :mod:`repro.search.space` — sampleable design spaces
   (:class:`SearchSpace`): discrete :class:`ChoiceAxis` dimensions derived
   from grids plus open :class:`RangeAxis` dimensions (continuous DVFS
@@ -107,8 +108,8 @@ Instead the unit of evaluation, memoization, and dispatch is
    ``energy_j`` the total including idle gaps between arrivals, and
    ``latency`` a :class:`~repro.search.evaluators.LatencyProfile`
    (mean/p50/p95/p99/worst-case response time under queueing), which
-   :meth:`SearchResult.best_under_latency_sla` and the
-   ``response_*_s`` export columns read.
+   the ``response_*_s`` objectives of :meth:`SearchResult.best_under`
+   and the export columns of the same names read.
 
 Adaptive search
 ---------------
@@ -209,12 +210,12 @@ entry point:
 4. **score** — degraded records put their response-time profile in
    ``degraded_latency`` (``latency`` stays ``None``), plus
    ``recovery_energy_j``, ``retried_jobs``, ``dropped_jobs``, and
-   ``faults_survived``; :meth:`SearchResult.best_under_degraded_sla`
-   (and :func:`~repro.search.pareto.best_under_degraded_sla`) then
+   ``faults_survived``; limiting the ``degraded_response_*_s`` and
+   ``dropped_jobs`` objectives of :meth:`SearchResult.best_under` then
    selects the cheapest design that meets its SLA *while failing*,
-   which is generally not the design
-   :meth:`~SearchResult.best_under_latency_sla` picks at full health —
-   that gap is the resilience premium the study measures.  The
+   which is generally not the design the ``response_*_s`` limit picks
+   at full health — that gap is the resilience premium the study
+   measures.  The
    ``degraded_response_*_s`` / ``recovery_energy_j`` / ``retried_jobs``
    / ``dropped_jobs`` / ``faults_survived`` export columns carry all of
    it to CSV/JSON.
@@ -228,9 +229,9 @@ is retried once serially in-process, logged to the
 Multi-objective selection and TCO
 ---------------------------------
 
-The selection rules above read a two-dimensional (time, energy) cloud;
-real procurement decisions also price dollars and grams of CO₂.
-:mod:`repro.costmodel` and :mod:`repro.search.objectives` make those
+The paper reads a two-dimensional (time, energy) cloud; real
+procurement decisions also price dollars and grams of CO₂.
+:mod:`repro.costmodel` and :mod:`repro.search.pareto` make those
 first-class objectives through the same stack:
 
 1. **pricing** — a :class:`~repro.costmodel.model.CostModel` (per-node
@@ -252,23 +253,41 @@ first-class objectives through the same stack:
 2. **objectives** — :func:`pareto_frontier` / :func:`knee_point` (and
    the :class:`SearchResult` / :class:`~repro.study.StudyResult`
    methods, and ``Study.optimize(objectives=...)``) accept an
-   ``objectives=`` axis list — names from the
-   :mod:`repro.search.objectives` registry (``time_s``, ``energy_j``,
-   ``edp``, ``price_usd``, ``carbon_g``) or custom
-   :class:`~repro.search.objectives.Objective` instances.  Dominance
-   generalizes componentwise; the knee generalizes from
-   max-chord-distance to max-distance-from-the-endpoint-simplex (the
-   hyperplane through the frontier's per-axis minimizers, which in two
-   dimensions *is* the chord);
-3. **budgeted picks** — :func:`~repro.search.objectives
-   .best_under_budget` / :func:`~repro.search.objectives
-   .best_under_carbon` select the fastest design under a dollar or
-   carbon cap, the TCO counterparts of the SLA selectors;
+   ``objectives=`` axis list — registered names (``time_s``,
+   ``energy_j``, ``edp``, ``price_usd``, ``carbon_g``, the
+   ``response_*_s`` and ``degraded_response_*_s`` statistics,
+   ``dropped_jobs``) or custom :class:`Objective` instances; the
+   default is ``("time_s", "energy_j")``.  Dominance is componentwise;
+   beyond two axes the knee generalizes from max-chord-distance to
+   max-distance-from-the-endpoint-simplex (the hyperplane through the
+   frontier's per-axis minimizers, which in two dimensions *is* the
+   chord);
+3. **constrained picks** — :func:`best_under` (and
+   :meth:`SearchResult.best_under`) takes upper bounds on any
+   objectives and minimizes one of them (energy by default), so a
+   latency target and a budget can bind together.  Each question the
+   paper and its extensions ask is one call (``m`` is ``mean``,
+   ``p50``, ``p95``, ``p99`` or ``max``):
+
+   =======================================  =====================================================================
+   question                                 call
+   =======================================  =====================================================================
+   least energy within a response-time SLA  ``best_under(p, {"time_s": T})``
+   least energy within a per-query SLA      ``best_under(p, {f"response_{m}_s": T})``
+   ... under faults, shedding no query      ``best_under(p, {f"degraded_response_{m}_s": T, "dropped_jobs": 0})``
+   fastest within a dollar budget           ``best_under(p, {"price_usd": usd}, minimize="time_s")``
+   fastest within a carbon cap              ``best_under(p, {"carbon_g": g}, minimize="time_s")``
+   =======================================  =====================================================================
+
+   Omitting the ``dropped_jobs`` limit admits designs that shed
+   queries.  :func:`best_under_latency_sla` and
+   :func:`best_under_degraded_sla` (``allow_drops=`` omits that limit)
+   are one-line spellings of the second and third rows;
 4. **compatibility** — with no cost model and no ``objectives=``
-   argument, every record, frontier, knee, and SLA pick is
-   bit-identical to the classic behaviour (property-tested:
-   the 2-objective configuration reproduces the legacy sweep exactly,
-   and adding an objective never shrinks the frontier).
+   argument, every record, frontier, knee, and constrained pick is
+   bit-identical to the classic behaviour (pinned in
+   ``tests/search/test_selection_pins.py``, and property-tested against
+   the classic two-axis sweep and chord).
 
 ``examples/tco_study.py`` walks the 216-design diurnal campaign where
 the energy-, price-, and carbon-optimal picks diverge;
@@ -328,17 +347,6 @@ from repro.search.evaluators import (
     SimulatorEvaluator,
 )
 from repro.search.grid import DesignCandidate, DesignGrid
-from repro.search.objectives import (
-    DEFAULT_OBJECTIVES,
-    Objective,
-    best_under_budget,
-    best_under_carbon,
-    dominates,
-    frontier_nd,
-    knee_nd,
-    register_objective,
-    resolve_objectives,
-)
 from repro.search.optimize import (
     LocalSearch,
     OptimizationLoop,
@@ -350,12 +358,17 @@ from repro.search.optimize import (
     build_optimizer,
 )
 from repro.search.pareto import (
+    DEFAULT_OBJECTIVES,
+    Objective,
+    best_under,
     best_under_degraded_sla,
     best_under_latency_sla,
-    best_under_sla,
+    dominates,
     edp_optimal,
     knee_point,
     pareto_frontier,
+    register_objective,
+    resolve_objectives,
 )
 from repro.search.space import ChoiceAxis, RangeAxis, SearchSpace
 
@@ -385,16 +398,12 @@ __all__ = [
     "SimulatorEvaluator",
     "SuccessiveHalving",
     "TrajectoryPoint",
-    "best_under_budget",
-    "best_under_carbon",
+    "best_under",
     "best_under_degraded_sla",
     "best_under_latency_sla",
-    "best_under_sla",
     "build_optimizer",
     "dominates",
     "edp_optimal",
-    "frontier_nd",
-    "knee_nd",
     "knee_point",
     "pareto_frontier",
     "register_objective",

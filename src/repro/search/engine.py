@@ -43,8 +43,9 @@ pipeline: arrival times couple a trace's queries, so those evaluate at
 (see :meth:`DesignSpaceSearch._search_timed`), and their records carry
 response-time profiles.  The resulting :class:`SearchResult` carries the
 evaluated points in grid order plus the paper's selection rules (Pareto
-frontier, knee, EDP optimum, SLA-constrained best — including the
-latency-SLA variant over timed records).
+frontier, knee, EDP optimum, and :meth:`SearchResult.best_under` — the
+least-energy design within an SLA, a latency target over timed records,
+a budget, or any mix of them).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import multiprocessing
 import pickle
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, ModelError
 from repro.search.cache import EvaluationCache
@@ -68,12 +69,10 @@ from repro.search.evaluators import (
     evaluate_trace_chunk,
 )
 from repro.search.grid import DesignCandidate, DesignGrid, unique_labels
-from repro.search.objectives import best_under_budget, best_under_carbon
 from repro.telemetry import get_telemetry
 from repro.search.pareto import (
-    best_under_degraded_sla,
-    best_under_latency_sla,
-    best_under_sla,
+    Objective,
+    best_under,
     edp_optimal,
     knee_point,
     pareto_frontier,
@@ -149,76 +148,39 @@ class SearchResult:
     def pareto_frontier(
         self, objectives: Sequence | None = None
     ) -> list[EvaluatedDesign]:
-        """Non-dominated (time, energy) points, fastest first.
+        """Non-dominated points, in objective order (fastest first).
 
-        ``objectives`` — names or :class:`~repro.search.objectives
-        .Objective` instances, e.g. ``("time_s", "energy_j",
-        "price_usd")`` — selects the frontier in those dimensions
-        instead; ``None`` keeps the classic (time, energy) pair.
+        ``objectives`` — names or :class:`~repro.search.pareto.Objective`
+        instances, e.g. ``("time_s", "energy_j", "price_usd")`` — selects
+        the frontier in those dimensions; ``None`` is the classic (time,
+        energy) pair.
         """
         return pareto_frontier(self.points, objectives=objectives)
 
     def knee(self, objectives: Sequence | None = None) -> EvaluatedDesign:
         """The frontier's knee (max distance from the endpoint chord).
 
-        With ``objectives`` the chord generalizes to the endpoint
-        simplex through the frontier's per-axis minimizers.
+        With more than two ``objectives`` the chord generalizes to the
+        endpoint simplex through the frontier's per-axis minimizers.
         """
         return knee_point(self.points, objectives=objectives)
-
-    def best_under_budget(self, max_usd: float) -> EvaluatedDesign:
-        """Fastest design whose ``price_usd`` fits the dollar budget.
-
-        Requires cost-model-priced points (a
-        :class:`~repro.costmodel.model.CostModel` on the evaluator or
-        study); raises :class:`ModelError` otherwise.
-        """
-        return best_under_budget(self.points, max_usd)
-
-    def best_under_carbon(self, max_g: float) -> EvaluatedDesign:
-        """Fastest design whose ``carbon_g`` fits the emission cap.
-
-        Requires cost-model-priced points, like :meth:`best_under_budget`.
-        """
-        return best_under_carbon(self.points, max_g)
 
     def edp_optimal(self) -> EvaluatedDesign:
         """The minimum energy-delay-product design."""
         return edp_optimal(self.points)
 
-    def best_under_sla(self, max_time_s: float) -> EvaluatedDesign:
-        """Minimum-energy design meeting a response-time SLA."""
-        return best_under_sla(self.points, max_time_s)
-
-    def best_under_latency_sla(
-        self, max_response_s: float, metric: str = "max"
+    def best_under(
+        self, limits: Mapping, minimize: str | Objective = "energy_j"
     ) -> EvaluatedDesign:
-        """Minimum-energy design meeting a per-query response-time SLA.
+        """The design minimizing ``minimize`` within upper ``limits``.
 
-        Reads the :class:`~repro.search.evaluators.LatencyProfile` a
-        timed-trace evaluation attached to each record — ``metric``
-        selects which statistic binds (``"max"`` = worst case, the
-        default; ``"p99"``, ``"p95"``, ``"p50"``, ``"mean"``).  Only
-        available on searches of timed workloads.
+        ``{"time_s": 30.0}`` is a response-time SLA,
+        ``{"response_p99_s": 2.0}`` a per-query latency target on timed
+        records, ``{"price_usd": 5.0}`` with ``minimize="time_s"`` the
+        fastest design within a budget; see
+        :func:`~repro.search.pareto.best_under`.
         """
-        return best_under_latency_sla(self.points, max_response_s, metric=metric)
-
-    def best_under_degraded_sla(
-        self,
-        max_response_s: float,
-        metric: str = "max",
-        allow_drops: bool = False,
-    ) -> EvaluatedDesign:
-        """Minimum-energy design meeting the SLA *under fault injection*.
-
-        Reads the ``degraded_latency`` profile a fault-injected trace
-        evaluation (``TimedTrace.with_faults``) attached to each record;
-        designs that shed queries are excluded unless ``allow_drops``.
-        Only available on searches of faulted timed workloads.
-        """
-        return best_under_degraded_sla(
-            self.points, max_response_s, metric=metric, allow_drops=allow_drops
-        )
+        return best_under(self.points, limits, minimize=minimize)
 
     def point(self, label: str) -> EvaluatedDesign:
         for p in self.points:

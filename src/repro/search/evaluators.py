@@ -136,10 +136,10 @@ class EvaluatedDesign:
     (the trace was a :class:`~repro.faults.trace.FaultedTrace` with a
     non-empty schedule): ``degraded_latency`` holds the response-time
     profile of the jobs that survived the scenario — ``latency`` stays
-    ``None`` on those records, so healthy and degraded SLA selectors
-    (:func:`~repro.search.pareto.best_under_latency_sla` vs
-    :func:`~repro.search.pareto.best_under_degraded_sla`) can never pick
-    from each other's population — ``recovery_energy_j`` the energy
+    ``None`` on those records, so healthy and degraded SLA limits
+    (the ``response_*_s`` vs ``degraded_response_*_s`` objectives of
+    :func:`~repro.search.pareto.best_under`) can never pick from each
+    other's population — ``recovery_energy_j`` the energy
     spent rebooting crashed nodes, ``retried_jobs`` / ``dropped_jobs``
     the failure policy's retry and shed counts, and ``faults_survived``
     the number of fault onsets the run absorbed.
@@ -319,6 +319,12 @@ class ModelEvaluator(SearchEvaluator):
     Parameter semantics match :class:`DesignSpaceExplorer`: disk and NIC
     bandwidths come from the candidate's Beefy spec even for all-Wimpy
     designs (the paper's Section 5.4 uniformity assumption).
+
+    ``warm_cache`` defaults to False (inputs read from disk), while
+    :class:`SimulatorEvaluator` defaults to True (inputs already in
+    memory), so the two evaluators' default records are not comparable:
+    all-Beefy designs differ about 2x.  Pass the same ``warm_cache`` to
+    both to compare them.
     """
 
     warm_cache: bool = False
@@ -374,6 +380,10 @@ class SimulatorEvaluator(SearchEvaluator):
     :meth:`~repro.pstore.simulated.SimulatedPStore.run_trace`, so queries
     arriving while earlier ones still run contend for the cluster, and
     the record carries the resulting :class:`LatencyProfile`.
+
+    ``warm_cache`` defaults to True, unlike :class:`ModelEvaluator`'s
+    False, so the two evaluators' default records are not comparable;
+    pass the same value to both to compare them.
     """
 
     warm_cache: bool = True
@@ -737,10 +747,28 @@ class CallableEvaluator(SearchEvaluator):
         self._fn = fn
         self.cost_model = cost_model
 
+    @staticmethod
+    def checked(label: str, cost: tuple[float, float]) -> tuple[float, float]:
+        """A callable's ``(time_s, energy_j)`` for design ``label``.
+
+        Raises :class:`ModelError` unless both are finite and >= 0: a NaN
+        or infinite cost must not become a feasible record, where it
+        would make the frontier depend on input order.
+        """
+        for name, value in zip(("time_s", "energy_j"), cost):
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(
+                    f"design {label!r}: cost callable returned {name}={value!r}; "
+                    "expected a finite value >= 0"
+                )
+        return cost
+
     def evaluate_query(
         self, candidate: DesignCandidate, query: JoinWorkloadSpec
     ) -> EvaluatedDesign:
-        time_s, energy_j = self._fn(candidate.cluster(), query)
+        time_s, energy_j = self.checked(
+            candidate.label, self._fn(candidate.cluster(), query)
+        )
         return self._priced(
             EvaluatedDesign(candidate=candidate, time_s=time_s, energy_j=energy_j)
         )

@@ -387,27 +387,31 @@ class SuccessiveHalving(Optimizer):
             self._done = True  # full fidelity reached: the race is over
             return
         keep = max(1, len(self._pool) // self.eta)
-        order = _promotion_order(records, objectives=self.objectives)
-        self._pool = tuple(proposal.candidates[i] for i in order[:keep])
+        promoted = _promotion_order(records, keep, objectives=self.objectives)
+        self._pool = tuple(proposal.candidates[i] for i in promoted)
         self._rung += 1
 
 
 def _promotion_order(
-    records: Sequence[EvaluatedDesign], objectives: Sequence | None = None
+    records: Sequence[EvaluatedDesign],
+    keep: int,
+    objectives: Sequence | None = None,
 ) -> list[int]:
-    """Indices of ``records`` in promotion-priority order.
+    """Indices of the first ``keep`` ``records`` in promotion-priority order.
 
     Feasible designs are peeled into successive Pareto layers (the whole
     current proxy frontier outranks every dominated design); within a
     layer, lower EDP first, then time, then label — all deterministic.
     Infeasible designs rank last, in label order.  ``objectives`` layers
     under those axes instead of the classic (time, energy) pair.
+    Peeling stops once ``keep`` designs are ranked: deeper layers cannot
+    change which ones those are.
     """
     feasible = [i for i, record in enumerate(records) if record.feasible]
     infeasible = [i for i, record in enumerate(records) if not record.feasible]
     order: list[int] = []
     remaining = feasible
-    while remaining:
+    while remaining and len(order) < keep:
         layer_points = pareto_frontier(
             [records[i] for i in remaining], objectives=objectives
         )
@@ -420,7 +424,7 @@ def _promotion_order(
         layer_set = set(layer)
         remaining = [i for i in remaining if i not in layer_set]
     infeasible.sort(key=lambda i: records[i].label)
-    return order + infeasible
+    return (order + infeasible)[:keep]
 
 
 # --------------------------------------------------------------------------

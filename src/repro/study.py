@@ -19,7 +19,7 @@ normalized-curve analyses).  A :class:`Study` unifies them::
         .run()
     )
     result.pareto_frontier()          # SearchResult selections ...
-    result.best_under_sla(30.0)
+    result.best_under({"time_s": 30.0})
     result.curve().best_design(0.6)   # ... and TradeoffCurve analyses
     result.to_json()                  # analysis/export hooks
 
@@ -41,8 +41,8 @@ questions::
         .with_evaluator(SimulatorEvaluator())
         .run()
     )
-    result.points[0].latency.p99_s             # response times under queueing
-    result.best_under_latency_sla(120.0)       # least energy, worst case <= 2 min
+    result.points[0].latency.p99_s                 # response times under queueing
+    result.best_under({"response_max_s": 120.0})   # least energy, worst case <= 2 min
 
 Besides the exhaustive :meth:`Study.run`, a study drives the adaptive
 optimizers of :mod:`repro.search.optimize` over the same space through
@@ -74,7 +74,7 @@ partially-configured studies can be shared and forked freely.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.design_space import DesignPoint, DesignSpaceExplorer, TradeoffCurve
 from repro.costmodel.model import CostModel
@@ -95,6 +95,7 @@ from repro.search.optimize import (
     TrajectoryPoint,
     build_optimizer,
 )
+from repro.search.pareto import Objective
 from repro.search.space import SearchSpace
 from repro.workloads.protocol import Workload, as_workload
 from repro.workloads.queries import JoinWorkloadSpec
@@ -231,8 +232,8 @@ class Study:
         The :class:`~repro.costmodel.model.CostModel` is applied to this
         study's evaluator, so every feasible record carries ``carbon_g``
         and ``price_usd`` — enabling the TCO selections
-        (:meth:`StudyResult.best_under_budget` /
-        :meth:`~StudyResult.best_under_carbon`) and cost-axis objectives
+        (``result.best_under({"price_usd": 5.0}, minimize="time_s")``) and
+        cost-axis objectives
         (``result.knee(objectives=("time_s", "energy_j", "price_usd"))``).
         Cost-model records cache under distinct keys, so differently
         priced studies never alias; ``None`` removes the model.
@@ -437,7 +438,7 @@ class StudyResult:
     """Unified outcome of one study: raw search + trade-off analyses.
 
     Exposes the :class:`~repro.search.engine.SearchResult` selections
-    (Pareto frontier, knee, EDP optimum, SLA-constrained best) directly,
+    (Pareto frontier, knee, EDP optimum, ``best_under``) directly,
     the normalized :class:`~repro.core.design_space.TradeoffCurve`
     analyses via :meth:`curve`, and the :mod:`repro.analysis.export`
     serializers as methods.
@@ -483,47 +484,12 @@ class StudyResult:
     def edp_optimal(self) -> EvaluatedDesign:
         return self.search.edp_optimal()
 
-    def best_under_sla(self, max_time_s: float) -> EvaluatedDesign:
-        return self.search.best_under_sla(max_time_s)
-
-    def best_under_budget(self, max_usd: float) -> EvaluatedDesign:
-        """Fastest design within a dollar budget (needs a cost model)."""
-        return self.search.best_under_budget(max_usd)
-
-    def best_under_carbon(self, max_g: float) -> EvaluatedDesign:
-        """Fastest design within a carbon cap (needs a cost model)."""
-        return self.search.best_under_carbon(max_g)
-
-    def best_under_latency_sla(
-        self, max_response_s: float, metric: str = "max"
+    def best_under(
+        self, limits: Mapping, minimize: str | Objective = "energy_j"
     ) -> EvaluatedDesign:
-        """Minimum-energy design meeting a per-query response-time SLA.
-
-        Available when the study's workload was a timed trace evaluated
-        through a stream-capable evaluator: each point then carries a
-        :class:`~repro.search.evaluators.LatencyProfile` and ``metric``
-        picks the binding statistic (``"max"`` worst case by default,
-        or ``"p99"`` / ``"p95"`` / ``"p50"`` / ``"mean"``).
-        """
-        return self.search.best_under_latency_sla(max_response_s, metric=metric)
-
-    def best_under_degraded_sla(
-        self,
-        max_response_s: float,
-        metric: str = "max",
-        allow_drops: bool = False,
-    ) -> EvaluatedDesign:
-        """Minimum-energy design meeting the SLA *under fault injection*.
-
-        Available when the study's workload was a fault-injected trace
-        (``TimedTrace.with_faults``): each point then carries a
-        ``degraded_latency`` profile measured while nodes crashed,
-        straggled, or lost network capacity.  Designs that shed queries
-        are excluded unless ``allow_drops``.
-        """
-        return self.search.best_under_degraded_sla(
-            max_response_s, metric=metric, allow_drops=allow_drops
-        )
+        """The design minimizing ``minimize`` within upper ``limits``
+        (:meth:`~repro.search.engine.SearchResult.best_under`)."""
+        return self.search.best_under(limits, minimize=minimize)
 
     def point(self, label: str) -> EvaluatedDesign:
         return self.search.point(label)
@@ -580,31 +546,26 @@ class StudyResult:
 
         return search_to_json(self.search, indent=indent)
 
-    def frontier_csv(self, frontier_only: bool = True) -> str:
-        """The searched points as CSV (by default just the frontier)."""
+    def frontier_csv(
+        self, frontier_only: bool = True, objectives: Sequence | None = None
+    ) -> str:
+        """The searched points as CSV (by default just the frontier).
+
+        ``objectives`` computes frontier membership under those axes,
+        e.g. ``("time_s", "energy_j", "price_usd", "carbon_g")`` for the
+        TCO frontier of a cost-model-priced study.
+        """
         from repro.analysis.export import frontier_to_csv
 
-        return frontier_to_csv(self.search, frontier_only=frontier_only)
+        return frontier_to_csv(
+            self.search, frontier_only=frontier_only, objectives=objectives
+        )
 
     def curve_csv(self) -> str:
         """The normalized trade-off curve as CSV."""
         from repro.analysis.export import curve_to_csv
 
         return curve_to_csv(self.normalized())
-
-    def tco_csv(
-        self,
-        objectives: Sequence = ("time_s", "energy_j", "price_usd", "carbon_g"),
-    ) -> str:
-        """The multi-objective (TCO) frontier as CSV.
-
-        Defaults to the full four-axis time/energy/price/carbon trade;
-        needs a cost model when a cost axis is selected
-        (:func:`~repro.analysis.export.tco_frontier_csv`).
-        """
-        from repro.analysis.export import tco_frontier_csv
-
-        return tco_frontier_csv(self.search, objectives=objectives)
 
 
 class OptimizationResult(StudyResult):
@@ -615,7 +576,7 @@ class OptimizationResult(StudyResult):
     :class:`~repro.search.engine.SearchResult` holds the *archive* — every
     full-fidelity evaluation in discovery order — so all the selections
     and exports work unchanged: ``pareto_frontier()``, ``knee()``,
-    ``best_under_sla()``, ``curve()``, ``to_rows()``...  On top of that:
+    ``best_under()``, ``curve()``, ``to_rows()``...  On top of that:
 
     * :attr:`trajectory` — one
       :class:`~repro.search.optimize.TrajectoryPoint` per optimizer batch

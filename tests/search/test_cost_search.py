@@ -142,9 +142,9 @@ class TestDefaultPathParity:
             GRID, q3_join(100, 0.05, 0.05)
         )
         with pytest.raises(ModelError, match="CostModel"):
-            result.best_under_budget(100.0)
+            result.best_under({"price_usd": 100.0}, minimize="time_s")
         with pytest.raises(ModelError, match="CostModel"):
-            result.best_under_carbon(100.0)
+            result.best_under({"carbon_g": 100.0}, minimize="time_s")
         with pytest.raises(ModelError, match="CostModel"):
             result.pareto_frontier(objectives=("time_s", "price_usd"))
 
@@ -384,9 +384,12 @@ class TestStudyFacade:
         feasible = result.feasible_points
         assert feasible and all(p.price_usd is not None for p in feasible)
         dearest = max(p.price_usd for p in feasible)
-        assert result.best_under_budget(dearest * 1.01).feasible
-        assert result.best_under_carbon(
-            max(p.carbon_g for p in feasible) * 1.01
+        assert result.best_under(
+            {"price_usd": dearest * 1.01}, minimize="time_s"
+        ).feasible
+        assert result.best_under(
+            {"carbon_g": max(p.carbon_g for p in feasible) * 1.01},
+            minimize="time_s",
         ).feasible
         row = result.to_rows()[0]
         assert row["price_usd"] == result.points[0].price_usd
@@ -413,22 +416,18 @@ class TestStudyFacade:
         with pytest.raises(ConfigurationError, match="cost model"):
             study.run()
 
-    def test_tco_csv_exports_the_cost_frontier(self):
+    def test_frontier_csv_exports_the_cost_frontier(self):
         result = (
             Study(GRID)
             .with_workload(q3_join(100, 0.05, 0.05))
             .with_cost_model(MODEL)
             .run()
         )
-        rows = list(csv.DictReader(io.StringIO(result.tco_csv())))
+        axes = ("time_s", "energy_j", "price_usd", "carbon_g")
+        rows = list(csv.DictReader(io.StringIO(result.frontier_csv(objectives=axes))))
         assert rows
         assert {"carbon_g", "price_usd", "label"} <= set(rows[0])
-        frontier = {
-            p.label
-            for p in result.pareto_frontier(
-                objectives=("time_s", "energy_j", "price_usd", "carbon_g")
-            )
-        }
+        frontier = {p.label for p in result.pareto_frontier(objectives=axes)}
         assert {r["label"] for r in rows} == frontier
 
     def test_optimize_accepts_objectives(self):

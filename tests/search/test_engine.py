@@ -11,6 +11,7 @@ from repro.search import (
     DesignSpaceSearch,
     ModelEvaluator,
     SimulatorEvaluator,
+    pareto_frontier,
 )
 from repro.search.grid import DesignCandidate
 from repro.workloads.queries import q3_join, section54_join
@@ -79,7 +80,7 @@ class TestSearch:
 class TestSelectionsOnResult:
     def test_sla_selection_matches_energy_ordering(self, axis_result):
         fastest = axis_result.feasible_points[0]
-        winner = axis_result.best_under_sla(fastest.time_s * 1.5)
+        winner = axis_result.best_under({"time_s": fastest.time_s * 1.5})
         eligible = [
             p for p in axis_result.feasible_points if p.time_s <= fastest.time_s * 1.5
         ]
@@ -87,8 +88,8 @@ class TestSelectionsOnResult:
 
     def test_sla_too_tight_raises(self, axis_result):
         fastest = min(p.time_s for p in axis_result.feasible_points)
-        with pytest.raises(ModelError, match="SLA"):
-            axis_result.best_under_sla(fastest / 2)
+        with pytest.raises(ModelError, match="time_s <="):
+            axis_result.best_under({"time_s": fastest / 2})
 
     def test_knee_and_edp_are_on_the_frontier(self, axis_result):
         frontier_labels = {p.label for p in axis_result.pareto_frontier()}
@@ -106,6 +107,28 @@ class TestEvaluators:
         grid = DesignGrid.paper_axis(CLUSTER_V_NODE, WIMPY_LAPTOP_B, 4)
         result = search.search(grid, section54_join())
         assert [p.time_s for p in result.points] == [4.0, 3.0, 2.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("field", ["time_s", "energy_j"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_callable_evaluator_rejects_non_finite_or_negative_costs(
+        self, field, bad
+    ):
+        """A NaN, infinite or negative cost makes an infeasible record that
+        names the value; a feasible NaN made the frontier depend on input
+        order."""
+        costs = {4: (1.0, 10.0), 3: (2.0, 8.0), 2: (3.0, 1.0), 1: (3.0, 5.0), 0: (4.0, 2.0)}
+        costs[2] = (bad, 1.0) if field == "time_s" else (2.5, bad)
+        search = DesignSpaceSearch(
+            evaluator=CallableEvaluator(lambda c, q: costs[c.num_beefy])
+        )
+        grid = DesignGrid.paper_axis(CLUSTER_V_NODE, WIMPY_LAPTOP_B, 4)
+        points = search.search(grid, section54_join()).points
+        broken = points[2]
+        assert broken.label == "2B,2W" and not broken.feasible
+        assert f"{field}={bad!r}" in broken.infeasible_reason
+        finite = ["4B,0W", "3B,1W", "1B,3W", "0B,4W"]
+        for order in (points, points[::-1], points[2:] + points[:2]):
+            assert [p.label for p in pareto_frontier(order)] == finite
 
     def test_simulator_evaluator(self):
         grid = DesignGrid.paper_axis(BEEFY_L5630, WIMPY_LAPTOP_B, 4)

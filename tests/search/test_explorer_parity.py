@@ -158,6 +158,18 @@ def test_explorer_evaluate_foreign_cluster_reaches_the_callable():
     assert seen[1].num_beefy == 6
 
 
+def test_explorer_evaluate_foreign_cluster_rejects_a_nan_cost():
+    from repro.hardware.cluster import ClusterSpec
+
+    fresh = DesignSpaceExplorer(
+        CLUSTER_V_NODE, WIMPY_LAPTOP_B, cluster_size=8,
+        evaluator=lambda cluster, query: (float("nan"), 2.0),
+    )
+    all_wimpy = ClusterSpec.beefy_wimpy(WIMPY_LAPTOP_B, 4, WIMPY_LAPTOP_B, 4)
+    with pytest.raises(ModelError, match="time_s=nan"):
+        fresh.evaluate(all_wimpy, section54_join())
+
+
 def test_sweep_sizes_parity():
     explorer = DesignSpaceExplorer(CLUSTER_V_NODE, WIMPY_LAPTOP_B, 8)
     query = section54_join(0.10, 0.01)

@@ -186,26 +186,26 @@ class TestDegradedSelection:
         worst = max(
             point.degraded_latency.max_s for point in degraded.feasible_points
         )
-        best = degraded.best_under_degraded_sla(worst * 1.01)
+        best = best_under_degraded_sla(degraded.points, worst * 1.01)
         eligible_energy = min(p.energy_j for p in degraded.feasible_points)
         assert best.energy_j == eligible_energy
         fastest = min(
             point.degraded_latency.max_s for point in degraded.feasible_points
         )
-        with pytest.raises(ModelError, match="under the fault schedule"):
-            degraded.best_under_degraded_sla(fastest * 0.5)
+        with pytest.raises(ModelError, match="degraded_response_max_s <="):
+            best_under_degraded_sla(degraded.points, fastest * 0.5)
 
     def test_selector_populations_are_disjoint(self):
         healthy, degraded = self.search_both()
         with pytest.raises(ModelError, match="degraded latency profile"):
-            healthy.best_under_degraded_sla(1e9)
+            best_under_degraded_sla(healthy.points, 1e9)
         with pytest.raises(ModelError, match="latency profile"):
-            degraded.best_under_latency_sla(1e9)
+            degraded.best_under({"response_max_s": 1e9})
 
     def test_sla_must_be_positive(self):
         _, degraded = self.search_both()
         with pytest.raises(ModelError):
-            degraded.best_under_degraded_sla(0.0)
+            best_under_degraded_sla(degraded.points, -1.0)
 
     def test_allow_drops_gate(self):
         """Points that shed queries are excluded unless explicitly
@@ -219,7 +219,7 @@ class TestDegradedSelection:
         result = engine.search(GRID, trace().with_faults(early, failure_policy=drop))
         shed = [p for p in result.feasible_points if p.dropped_jobs]
         assert shed, "early crash under the drop policy must shed the first query"
-        with pytest.raises(ModelError, match="shed queries"):
+        with pytest.raises(ModelError, match="dropped_jobs <= 0"):
             best_under_degraded_sla(result.feasible_points, 1e9)
         best = best_under_degraded_sla(
             result.feasible_points, 1e9, allow_drops=True
@@ -267,5 +267,7 @@ class TestExportAndStudy:
         worst = max(
             point.degraded_latency.max_s for point in result.feasible_points
         )
-        best = result.best_under_degraded_sla(worst * 1.01)
+        best = result.best_under(
+            {"degraded_response_max_s": worst * 1.01, "dropped_jobs": 0}
+        )
         assert best.degraded_latency is not None

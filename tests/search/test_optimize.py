@@ -7,7 +7,9 @@ through the shared EvaluationCache counters — and every optimizer
 evaluation is bit-identical to a grid evaluation of the same candidate.
 """
 
+import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -26,9 +28,11 @@ from repro.search import (
     build_optimizer,
 )
 from repro.search.grid import DesignCandidate
+from repro.search.optimize import _promotion_order
 from repro.study import OptimizationResult, Study, StudyResult
 from repro.workloads.queries import q3_join, section54_join
 from repro.workloads.suite import WorkloadSuite
+from tests.search.test_objectives import random_cloud
 
 #: the acceptance-criteria space: 216 designs (6 sizes x mixes x 3 DVFS)
 REFERENCE_GRID = DesignGrid(
@@ -279,6 +283,21 @@ class TestSuccessiveHalving:
         spent = [p.fresh_query_evaluations for p in result.trajectory]
         assert spent == [216, 216 + 72, 216 + 72 + 48]
 
+    def test_promotion_peels_only_as_deep_as_the_cut(self):
+        """Ranking ``keep`` designs gives the prefix of the full ranking."""
+        rng = random.Random(19)
+        for trial in range(40):
+            records = [
+                replace(p, feasible=False) if rng.random() < 0.2 else p
+                for p in random_cloud(rng, rng.randint(1, 40))
+            ]
+            full = _promotion_order(records, len(records))
+            assert sorted(full) == list(range(len(records)))
+            for keep in range(1, len(records) + 1):
+                assert _promotion_order(records, keep) == full[:keep], (
+                    f"trial {trial}, keep {keep}"
+                )
+
 
 class TestOptimizers:
     def test_random_search_never_repeats_a_design(self):
@@ -377,7 +396,7 @@ class TestOptimizationResultSurface:
     def test_is_a_study_result(self, result):
         assert isinstance(result, StudyResult)
         assert result.knee().label in {p.label for p in result.pareto_frontier()}
-        assert result.best_under_sla(result.points[0].time_s * 10).feasible
+        assert result.best_under({"time_s": result.points[0].time_s * 10}).feasible
         assert result.curve().reference.label == "16B,0W|n16|phi1"
 
     def test_trajectory_exports(self, result):

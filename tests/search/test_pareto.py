@@ -6,7 +6,7 @@ from repro.errors import ModelError
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.search.evaluators import EvaluatedDesign
 from repro.search.grid import DesignCandidate
-from repro.search.pareto import best_under_sla, edp_optimal, knee_point, pareto_frontier
+from repro.search.pareto import best_under, edp_optimal, knee_point, pareto_frontier
 
 
 def point(label, time_s, energy_j, feasible=True):
@@ -92,27 +92,28 @@ class TestSlaSelection:
     ]
 
     def test_picks_cheapest_design_meeting_the_sla(self):
-        assert best_under_sla(self.POINTS, max_time_s=2.5).label == "balanced"
-        assert best_under_sla(self.POINTS, max_time_s=10.0).label == "slow-frugal"
+        assert best_under(self.POINTS, {"time_s": 2.5}).label == "balanced"
+        assert best_under(self.POINTS, {"time_s": 10.0}).label == "slow-frugal"
 
     def test_sla_boundary_is_inclusive(self):
-        assert best_under_sla(self.POINTS, max_time_s=2.0).label == "balanced"
+        assert best_under(self.POINTS, {"time_s": 2.0}).label == "balanced"
 
     def test_no_feasible_point_raises(self):
-        with pytest.raises(ModelError, match="SLA"):
-            best_under_sla(self.POINTS, max_time_s=0.5)
-        with pytest.raises(ModelError, match="SLA"):
-            best_under_sla([point("x", 1.0, 1.0, feasible=False)], max_time_s=5.0)
+        with pytest.raises(ModelError, match="time_s <= 0.5"):
+            best_under(self.POINTS, {"time_s": 0.5})
+        with pytest.raises(ModelError, match="time_s <= 5"):
+            best_under([point("x", 1.0, 1.0, feasible=False)], {"time_s": 5.0})
 
     def test_invalid_sla_rejected(self):
-        with pytest.raises(ModelError):
-            best_under_sla(self.POINTS, max_time_s=0.0)
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ModelError, match="'time_s' must be >= 0"):
+                best_under(self.POINTS, {"time_s": bad})
 
     def test_energy_ties_break_on_time_then_label(self):
         tied = [
             point("slower", 3.0, 10.0),
             point("faster", 2.0, 10.0),
         ]
-        assert best_under_sla(tied, max_time_s=5.0).label == "faster"
+        assert best_under(tied, {"time_s": 5.0}).label == "faster"
         same = [point("b", 2.0, 10.0), point("a", 2.0, 10.0)]
-        assert best_under_sla(same, max_time_s=5.0).label == "a"
+        assert best_under(same, {"time_s": 5.0}).label == "a"

@@ -215,7 +215,7 @@ class TestSelection:
             .run()
         )
         worst = max(p.latency.max_s for p in result.feasible_points)
-        best = result.best_under_latency_sla(worst * 1.01)
+        best = result.best_under({"response_max_s": worst * 1.01})
         assert best.policy is not None
         rows = result.to_rows()
         by_label = {row["label"]: row for row in rows}

@@ -193,15 +193,15 @@ class TestLatencySelection:
             GRID, small_trace()
         )
         worst = max(point.latency.max_s for point in result.feasible_points)
-        best = result.best_under_latency_sla(worst * 1.01)
+        best = result.best_under({"response_max_s": worst * 1.01})
         eligible_energy = min(p.energy_j for p in result.feasible_points)
         assert best.energy_j == eligible_energy
         # a tight SLA prunes to faster-responding designs
         fastest = min(point.latency.max_s for point in result.feasible_points)
-        tight = result.best_under_latency_sla(fastest * 1.01)
+        tight = result.best_under({"response_max_s": fastest * 1.01})
         assert tight.latency.max_s <= fastest * 1.01
         with pytest.raises(ModelError, match="meets the"):
-            result.best_under_latency_sla(fastest * 0.5)
+            best_under_latency_sla(result.points, fastest * 0.5)
 
     def test_metric_selects_the_binding_statistic(self):
         result = DesignSpaceSearch(evaluator=SimulatorEvaluator()).search(
@@ -209,7 +209,9 @@ class TestLatencySelection:
         )
         point = result.feasible_points[0]
         assert point.latency.mean_s <= point.latency.max_s
-        by_mean = result.best_under_latency_sla(point.latency.mean_s, metric="mean")
+        by_mean = best_under_latency_sla(
+            result.points, point.latency.mean_s, metric="mean"
+        )
         assert by_mean.latency.mean_s <= point.latency.mean_s
 
     def test_weights_only_points_are_never_eligible(self):
@@ -217,11 +219,12 @@ class TestLatencySelection:
             GRID, small_trace().weights_only()
         )
         with pytest.raises(ModelError, match="latency profile"):
-            result.best_under_latency_sla(1e9)
+            result.best_under({"response_max_s": 1e9})
 
     def test_sla_validation(self):
-        with pytest.raises(ModelError, match="> 0"):
-            best_under_latency_sla([], 0.0)
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ModelError, match="must be >= 0"):
+                best_under_latency_sla([], bad)
 
 
 class TestStudyFacade:
@@ -233,7 +236,7 @@ class TestStudyFacade:
         result = study.run()
         assert all(point.latency is not None for point in result.points)
         worst = max(point.latency.max_s for point in result.feasible_points)
-        assert result.best_under_latency_sla(worst * 2).feasible
+        assert result.best_under({"response_max_s": worst * 2}).feasible
         rows = result.to_rows()
         assert rows[0]["response_p99_s"] == result.points[0].latency.p99_s
         assert rows[0]["response_max_s"] == result.points[0].latency.max_s

@@ -67,7 +67,7 @@ class TestSuiteThroughEngine:
         assert result.knee().label in frontier_labels
         assert result.edp_optimal().label in frontier_labels
         fastest = result.feasible_points[0].time_s
-        assert result.best_under_sla(fastest * 2.0).feasible
+        assert result.best_under({"time_s": fastest * 2.0}).feasible
 
     def test_single_entry_unit_weight_suite_equals_bare_join(self):
         """Weight-1 singleton suites keep per-query records (fast path)."""

@@ -190,7 +190,7 @@ class TestSuiteParity:
         assert frontier
         assert result.knee().label in {p.label for p in frontier}
         fastest = result.feasible_points[0].time_s
-        assert result.best_under_sla(fastest * 1.5).feasible
+        assert result.best_under({"time_s": fastest * 1.5}).feasible
 
     def test_suites_gain_parallel_search(self):
         suite = mixed_suite()
