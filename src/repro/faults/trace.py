@@ -14,8 +14,11 @@ through :class:`~repro.search.engine.DesignSpaceSearch` unchanged.  Its
 :meth:`cache_key` namespaces the underlying trace's key with the
 scenario's, so degraded evaluations can never collide with healthy rows
 in the :class:`~repro.search.cache.EvaluationCache` — in either
-direction.  An *empty* schedule routes down the exact healthy path
-(serial or multiplexed) and is bit-identical to the bare trace.
+direction.  A non-empty schedule replays on the multiplexed loop like a
+healthy trace, each design's lane driving the serial loop's node-state
+machine, so degraded records are bit-identical to serial replay.  An
+*empty* schedule routes down the exact healthy path (serial or
+multiplexed) and is bit-identical to the bare trace.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PlanError
 from repro.faults.schedule import FailurePolicy, FaultSchedule
 from repro.pstore.replication import ReplicatedLayout
 from repro.workloads.protocol import TimedTrace, WeightedQuery
@@ -105,11 +108,21 @@ class FaultedTrace:
 
     def layout_for(self, num_nodes: int) -> ReplicatedLayout | None:
         """The candidate-sized replicated layout, or ``None`` without
-        replication.  Raises
-        :class:`~repro.errors.ConfigurationError` when the factor cannot
-        fit the cluster (more replicas than nodes)."""
+        replication.
+
+        A design with fewer nodes than the factor cannot hold every copy
+        of a partition on a distinct node.  That is a property of the
+        design, not of the scenario, so it raises
+        :class:`~repro.errors.PlanError`, which the evaluators turn into
+        an infeasible record instead of stopping the search.
+        """
         if self.replication_factor is None:
             return None
+        if self.replication_factor > num_nodes:
+            raise PlanError(
+                f"replication factor {self.replication_factor} needs at least "
+                f"{self.replication_factor} nodes; this design has {num_nodes}"
+            )
         return ReplicatedLayout(
             num_nodes=num_nodes,
             num_partitions=num_nodes * self.partitions_per_node,

@@ -187,11 +187,14 @@ resulting :class:`~repro.faults.trace.FaultedTrace` satisfies the timed
 protocol, so ``search(grid, trace.with_faults(...))`` needs no new
 entry point:
 
-1. **routing** — fault events are per-candidate (node indices wrap per
-   cluster size, retry backoffs reschedule per run), so a non-empty
-   schedule routes every candidate down the exact serial replay path —
-   the same rule dynamic policies use.  An *empty* schedule rides the
-   multiplexed fast path and is bit-identical to the bare trace;
+1. **routing** — a non-empty schedule rides the multiplexed fast path:
+   each lane drives the serial loop's own node-state machine and fault
+   source (node indices wrap per cluster size, retry backoffs reschedule
+   per run), so degraded records are bit-identical to serial replay.
+   Only dynamic policies leave the loop, as they do without faults; a
+   lane that loses replica coverage or drops every job sends its batch
+   to serial replay.  An *empty* schedule is bit-identical to the bare
+   trace;
 2. **failure semantics** — a crash kills every in-flight job owning the
    dead node; the :class:`~repro.faults.schedule.FailurePolicy` either
    re-queues them with capped exponential backoff

@@ -636,13 +636,19 @@ class SimulatorEvaluator(SearchEvaluator):
         :func:`evaluate_timed_design` automatically.  Static policies and
         bare designs stay on the fast path.
 
-        Fault-injected traces follow the same rule: fault events are
-        per-candidate (node indices wrap per cluster size, retries
-        reschedule per run), so a
+        Fault-injected traces ride the loop too: a
         :class:`~repro.faults.trace.FaultedTrace` with a non-empty
-        schedule routes every candidate down the exact serial path.  An
-        *empty* schedule rides the multiplexed loop and is bit-identical
-        to the bare trace.
+        schedule hands its scenario, failure policy and per-candidate
+        replicated layouts to
+        :func:`~repro.simulator.multiplex.run_multiplexed`, whose lanes
+        drive the serial loop's own node-state machine (node indices
+        wrap per cluster size, retries reschedule per run), so the
+        degraded records match :func:`evaluate_timed_design` exactly.  A
+        design too small for the trace's replication factor becomes an
+        infeasible record.  A lane that loses replica coverage or drops
+        every job raises inside the loop, which sends the batch to the
+        serial fallback above.  An *empty* schedule is bit-identical to
+        the bare trace.
 
         Cost models of every kind stay on the fast path.  A time-of-day
         carbon curve is handed to the loop, which integrates each lane's
@@ -661,13 +667,11 @@ class SimulatorEvaluator(SearchEvaluator):
         telemetry = get_telemetry()
         telemetry.count("evaluator.trace_evals", len(candidates))
         faults = getattr(trace, "faults", None)
-        if faults is not None and getattr(faults, "events", ()):
-            telemetry.count("evaluator.route.serial.faults", len(candidates))
-            return [evaluate_timed_design(self, c, trace) for c in candidates]
+        faulted = faults is not None and bool(getattr(faults, "events", ()))
         model = self.cost_model
         curve = model.carbon_g_per_kwh if model is not None and model.time_varying else None
         records: list[EvaluatedDesign | None] = [None] * len(candidates)
-        runs: list[tuple[int, DesignCandidate, object, list]] = []
+        runs: list[tuple[int, DesignCandidate, object, list, object]] = []
         shared_jobs: dict[tuple, list] = {}
         serial = 0
         for position, candidate in enumerate(candidates):
@@ -680,6 +684,9 @@ class SimulatorEvaluator(SearchEvaluator):
                 cluster = candidate.cluster()
                 store = SimulatedPStore(cluster, record_intervals=False)
                 schedule = self._trace_schedule(cluster, candidate, trace)
+                # after the plans, so a design failing both reports what
+                # the serial replay reports
+                layout = trace.layout_for(candidate.num_nodes) if faulted else None
                 # Every candidate replays this one trace, so its jobs are
                 # fixed by the shapes of its distinct plans.
                 shape = tuple(
@@ -694,27 +701,31 @@ class SimulatorEvaluator(SearchEvaluator):
             except ReproError as exc:
                 records[position] = _infeasible_record(candidate, exc)
                 continue
-            runs.append((position, candidate, store.simulator, jobs))
+            runs.append((position, candidate, store.simulator, jobs, layout))
         if serial:
             telemetry.count("evaluator.route.serial.policy", serial)
         if runs:
             try:
                 with telemetry.span("sim.multiplexed"):
                     results = run_multiplexed(
-                        [(simulator, jobs) for _, _, simulator, jobs in runs],
+                        [(simulator, jobs) for _, _, simulator, jobs, _ in runs],
                         carbon_curve=curve,
+                        faults=faults if faulted else None,
+                        failure_policy=trace.failure_policy if faulted else None,
+                        layouts=[layout for *_, layout in runs] if faulted else None,
                     )
             except ReproError:
                 telemetry.count("evaluator.multiplex_fallbacks", len(runs))
                 telemetry.count("evaluator.route.fallback.error", len(runs))
-                for position, candidate, _, _ in runs:
+                for position, candidate, *_ in runs:
                     records[position] = evaluate_timed_design(
                         self, candidate, trace
                     )
             else:
                 telemetry.count("evaluator.route.multiplexed", len(runs))
-                for (position, candidate, _, _), result in zip(runs, results):
-                    records[position] = self._trace_record(candidate, result)
+                record_of = self._degraded_record if faulted else self._trace_record
+                for (position, candidate, *_), result in zip(runs, results):
+                    records[position] = record_of(candidate, result)
         return records
 
     def fingerprint(self) -> tuple:

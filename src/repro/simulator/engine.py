@@ -31,6 +31,15 @@ arrival until every node it needs is active again, so wake-up and
 recovery latency show up in its response time exactly where a production
 cluster would pay it.
 
+The state machine and the fault source live in one :class:`NodeStates`
+object per run, which both event loops drive: ``run`` for its one run,
+and :func:`~repro.simulator.multiplex.run_multiplexed` for each faulted
+lane.  The fault rules — crash, recovery, straggler and network-degrade
+handlers, the retry heap, held-job admission and shedding, the replica
+coverage check, and down-node watts with their energy accounting — are
+therefore written once, and the loops differ only in how they store live
+flows.
+
 Most events leave the allocation's inputs as they were: a control tick
 observes the same live flows the previous step ran, and a trace's
 replayed jobs bring back compositions seen earlier in the run.  ``run``
@@ -68,6 +77,7 @@ from repro.telemetry import get_telemetry
 
 __all__ = [
     "ClusterSimulator",
+    "NodeStates",
     "SimulationResult",
     "Interval",
     "ACTIVE",
@@ -217,6 +227,364 @@ class _LiveFlow:
         return self.remaining_mb <= _COMPLETION_EPS * max(1.0, self.spec.volume_mb)
 
 
+class NodeStates:
+    """One run's node-state machine, fault source and held-job queue.
+
+    The machine is per node: power state × policy DVFS factor × straggler
+    multiplier.  ``down`` (nodes not active) and ``until`` (in-flight
+    transition -> its end) shadow ``state`` so a loop's guards are O(1),
+    and ``effective`` (the DVFS × straggler products) stays ``None`` while
+    every factor is 1.0.  ``net_mult`` is the network-degrade factor.
+
+    The fault source is the time-sorted timeline of a
+    :class:`~repro.faults.schedule.FaultSchedule` plus the retry heap of
+    crash-killed jobs.  A loop calls :meth:`head` at the top of each
+    iteration, :meth:`arrive` for each arrival and :meth:`release_held`
+    after them, adds :meth:`horizon` to its own, and charges each
+    piecewise-constant stretch through :meth:`charge_down`.  The loop
+    keeps its live flows itself; a crash reaches them through the two
+    callables it passes to :meth:`head`.  ``job_phase`` and
+    ``phase_live_count`` are the loop's own per-job lists, shared so that
+    killing or dropping a job resets its progress there.
+
+    ``policy_model`` (a dynamic policy's
+    :class:`~repro.hardware.powerstate.PowerStateModel`) prices nodes the
+    policy gates; without one, only crashes take nodes down.
+    ``node_sets`` optionally shares the demanded-node memo between runs
+    of one job list.
+    """
+
+    __slots__ = (
+        "simulator",
+        "jobs",
+        "job_phase",
+        "phase_live_count",
+        "num_nodes",
+        "state",
+        "down",
+        "until",
+        "factors",
+        "fault_mult",
+        "effective",
+        "net_mult",
+        "crashed",
+        "recovering",
+        "changed",
+        "_node_sets",
+        "held",
+        "dropped",
+        "retry_ready",
+        "gated_seconds",
+        "energy_saved",
+        "recovery_energy",
+        "survived",
+        "retried",
+        "gated_w",
+        "switching_w",
+        "idle_w",
+        "timeline",
+        "fault_cursor",
+        "next_fault_s",
+        "fault_model",
+        "crashed_w",
+        "booting_w",
+        "attempts",
+        "failure_policy",
+        "layout",
+        "stragglers",
+        "degrades",
+    )
+
+    def __init__(
+        self,
+        simulator: "ClusterSimulator",
+        jobs: Sequence[Job],
+        job_phase: list,
+        phase_live_count: list[int],
+        policy_model=None,
+        faults=None,
+        failure_policy=None,
+        layout=None,
+        node_sets: dict | None = None,
+    ):
+        self.simulator = simulator
+        self.jobs = jobs
+        self.job_phase = job_phase
+        self.phase_live_count = phase_live_count
+        num_nodes = self.num_nodes = simulator.pool.num_nodes
+        specs = [simulator.pool.node_spec(n) for n in range(num_nodes)]
+        self.state = [ACTIVE] * num_nodes
+        self.down: set[int] = set()  # nodes not active
+        self.until: dict[int, float] = {}  # in-flight transition -> its end
+        self.factors = [1.0] * num_nodes  # policy-set DVFS
+        self.fault_mult = [1.0] * num_nodes  # straggler slowdowns
+        self.effective: tuple[float, ...] | None = None
+        self.net_mult = 1.0
+        self.crashed: dict[int, float] = {}  # node -> recovery time (inf = never)
+        self.recovering: set[int] = set()  # crash recoveries still booting
+        #: set by every change to state, factors or ``net_mult``; a loop
+        #: that mirrors them clears it after syncing
+        self.changed = False
+        # Trace jobs share phase tuples (template interning), so the
+        # demanded-node set is computed once per distinct template.
+        self._node_sets: dict[int, frozenset[int]] = (
+            {} if node_sets is None else node_sets
+        )
+
+        self.held: list[int] = []  # arrived or retried, waiting on inactive nodes
+        self.dropped: list[str] = []
+        self.retry_ready: list[tuple[float, int]] = []  # (ready time, job) heap
+        self.gated_seconds = 0.0
+        self.energy_saved = 0.0
+        self.recovery_energy = 0.0
+        self.survived = 0
+        self.retried = 0
+
+        # A down node's watts depend on the node alone, so they are
+        # computed once — and only for the source that can take it down.
+        if policy_model is not None:
+            self.gated_w = [policy_model.gated_power_w(spec) for spec in specs]
+            self.switching_w = [
+                policy_model.transition_power_fraction * spec.peak_power_w
+                for spec in specs
+            ]
+            self.idle_w = [spec.idle_power_w for spec in specs]
+        timeline = self.timeline = simulator._fault_timeline(faults)
+        self.fault_cursor = 0
+        self.next_fault_s = timeline[0][0] if timeline else math.inf
+        if timeline:
+            if failure_policy is None:
+                from repro.faults.schedule import FailurePolicy
+
+                failure_policy = FailurePolicy()
+            fault_model = self.fault_model = failure_policy.transitions
+            self.crashed_w = [fault_model.gated_power_w(spec) for spec in specs]
+            self.booting_w = [
+                fault_model.transition_power_fraction * spec.peak_power_w
+                for spec in specs
+            ]
+            self.attempts = [0] * len(jobs)
+        self.failure_policy = failure_policy
+        self.layout = layout
+        self.stragglers: dict[int, list] = {}
+        self.degrades: list = []
+
+    # ---------------------------------------------------------- node states
+    def set_state(self, node: int, new: str, end: float = math.inf) -> None:
+        self.state[node] = new
+        if new == ACTIVE:
+            self.down.discard(node)
+        else:
+            self.down.add(node)
+        if end < math.inf:
+            self.until[node] = end
+        else:
+            self.until.pop(node, None)
+        self.changed = True
+
+    def rescale(self) -> None:
+        scaled = tuple(f * m for f, m in zip(self.factors, self.fault_mult))
+        self.effective = scaled if any(s != 1.0 for s in scaled) else None
+        self.changed = True
+
+    def needed_nodes(self, index: int) -> frozenset[int]:
+        """Every node any phase of job ``index`` demands."""
+        job = self.jobs[index]
+        nodes = self._node_sets.get(id(job.phases))
+        if nodes is None:
+            nodes = self._node_sets[id(job.phases)] = self.simulator._job_nodes(job)
+        return nodes
+
+    def down_watts(self, node: int) -> float:
+        """What a down node draws: the failure model's standby residual
+        while crashed, its boot power while recovering, else the policy's
+        gated or transition power."""
+        if node in self.crashed:
+            return self.crashed_w[node]
+        if node in self.recovering:
+            return self.booting_w[node]
+        if self.state[node] == GATED:
+            return self.gated_w[node]
+        return self.switching_w[node]
+
+    def charge_down(self, dt: float) -> list[tuple[int, float]]:
+        """Each down node's watts over a stretch of ``dt`` > 0 seconds, by
+        node id, after adding the stretch to the recovery, gated-seconds
+        and energy-saved totals."""
+        charged = []
+        for node in sorted(self.down):
+            watts = self.down_watts(node)
+            charged.append((node, watts))
+            if node in self.crashed:
+                continue  # no savings credit: a crash is not a policy decision
+            if node in self.recovering:
+                self.recovery_energy += watts * dt
+                continue
+            if self.state[node] == GATED:
+                self.gated_seconds += dt
+            self.energy_saved += (self.idle_w[node] - watts) * dt
+        return charged
+
+    # ------------------------------------------------------------ the source
+    def horizon(self) -> float:
+        """The earliest of the next fault event, transition end and retry."""
+        horizon = self.next_fault_s
+        if self.until:
+            horizon = min(horizon, min(self.until.values()))
+        if self.retry_ready:
+            horizon = min(horizon, self.retry_ready[0][0])
+        return horizon
+
+    @property
+    def pending(self) -> bool:
+        """Whether jobs still wait: held, or backing off to retry."""
+        return bool(self.held or self.retry_ready)
+
+    def head(self, time_s: float, live_jobs, remove) -> None:
+        """Fire what is due at ``time_s``: transition ends, fault events,
+        then retries, whose jobs join the held queue.
+
+        ``live_jobs()`` yields the job index of every live flow, and
+        ``remove(victims)`` takes the flows of a set of jobs out of the
+        loop's live set, keeping the others in order.
+        """
+        until = self.until
+        if until:
+            for node in [n for n, end in until.items() if end <= time_s + _COMPLETION_EPS]:
+                self.set_state(node, GATED if self.state[node] == GATING else ACTIVE)
+                self.recovering.discard(node)
+        if self.next_fault_s <= time_s + _COMPLETION_EPS:
+            self._apply_due_faults(time_s, live_jobs, remove)
+        retry_ready = self.retry_ready
+        while retry_ready and retry_ready[0][0] <= time_s + _COMPLETION_EPS:
+            self.held.append(heapq.heappop(retry_ready)[1])
+
+    def arrive(self, index: int) -> bool:
+        """Whether an arriving job may be admitted now.  While a node is
+        down or jobs are held it queues behind the held jobs instead, to
+        keep arrival order."""
+        if self.down or self.held:
+            self.held.append(index)
+            return False
+        return True
+
+    def release_held(self, admit) -> None:
+        """Admit held jobs whose nodes are all active; shed the ones
+        stranded by a node that never returns."""
+        down = self.down
+        crashed = self.crashed
+        waiting: list[int] = []
+        for index in self.held:
+            if not down or self.needed_nodes(index).isdisjoint(down):
+                admit(index)
+            elif crashed and any(
+                crashed.get(n) == math.inf for n in self.needed_nodes(index)
+            ):
+                self.drop(index)
+            else:
+                waiting.append(index)
+        self.held[:] = waiting
+
+    def drop(self, index: int) -> None:
+        self.dropped.append(self.jobs[index].name)
+        self.job_phase[index] = None
+        self.phase_live_count[index] = 0
+
+    def require_survivor(self, job_completion: dict) -> None:
+        if not job_completion:
+            raise SimulationError(
+                "no job survived the fault schedule: all "
+                f"{len(self.dropped)} submitted jobs were dropped"
+            )
+
+    def _apply_due_faults(self, time_s: float, live_jobs, remove) -> None:
+        timeline = self.timeline
+        num_nodes = self.num_nodes
+        crashed = self.crashed
+        failure_policy = self.failure_policy
+        while self.next_fault_s <= time_s + _COMPLETION_EPS:
+            _, kind, event = timeline[self.fault_cursor]
+            self.fault_cursor += 1
+            self.next_fault_s = (
+                timeline[self.fault_cursor][0]
+                if self.fault_cursor < len(timeline)
+                else math.inf
+            )
+            if kind in ("net-on", "net-off"):
+                degrades = self.degrades
+                if kind == "net-on":
+                    self.survived += 1
+                    degrades.append(event)
+                elif event in degrades:
+                    degrades.remove(event)
+                self.net_mult = (
+                    math.prod(d.factor for d in degrades) if degrades else 1.0
+                )
+                self.changed = True
+                continue
+            node = event.node % num_nodes
+            if kind == "crash":
+                self.survived += 1
+                prior = crashed.get(node)
+                crashed[node] = (
+                    event.recover_at_s
+                    if prior is None
+                    else max(prior, event.recover_at_s)
+                )
+                # Whatever state the node was in, it is off *now*.
+                self.set_state(node, GATED)
+                self.recovering.discard(node)
+                if self.layout is not None:
+                    self.layout.require_coverage(
+                        [n for n in range(num_nodes) if n not in crashed],
+                        context=f"after node {node} crashed at t={time_s:g}s",
+                    )
+                # Kill every in-flight job that owns the dead node — a
+                # running job owns every node any of its phases demands.
+                victims = sorted(
+                    {j for j in live_jobs() if node in self.needed_nodes(j)}
+                )
+                if not victims:
+                    continue
+                remove(set(victims))
+                for index in victims:
+                    self.phase_live_count[index] = 0
+                    self.job_phase[index] = 0  # progress is lost
+                    if (
+                        failure_policy.retries_enabled
+                        and self.attempts[index] < failure_policy.max_retries
+                    ):
+                        self.attempts[index] += 1
+                        self.retried += 1
+                        backoff = failure_policy.backoff_delay_s(
+                            self.jobs[index].name, self.attempts[index]
+                        )
+                        heapq.heappush(self.retry_ready, (time_s + backoff, index))
+                    else:
+                        self.drop(index)
+            elif kind == "recover":
+                # A later crash may have extended the outage; only the
+                # recovery that reaches the scheduled time revives.
+                if crashed.get(node, math.inf) <= time_s + _COMPLETION_EPS:
+                    del crashed[node]
+                    if self.fault_model.boot_s > 0:
+                        self.set_state(node, WAKING, time_s + self.fault_model.boot_s)
+                        self.recovering.add(node)
+                    else:
+                        self.set_state(node, ACTIVE)
+            else:  # straggle-on / straggle-off
+                group = self.stragglers.setdefault(node, [])
+                if kind == "straggle-on":
+                    self.survived += 1
+                    group.append(event)
+                elif event in group:
+                    group.remove(event)
+                self.fault_mult[node] = (
+                    math.prod(s.slowdown for s in group) if group else 1.0
+                )
+                self.rescale()
+
+
 class ClusterSimulator:
     """Simulates jobs on a cluster, producing time and energy.
 
@@ -316,12 +684,6 @@ class ClusterSimulator:
 
             model = policy.power_state_model()
             roles = tuple(self.pool.node_role(n) for n in self.pool.node_ids())
-        timeline = self._fault_timeline(faults)
-        if timeline and failure_policy is None:
-            from repro.faults.schedule import FailurePolicy
-
-            failure_policy = FailurePolicy()
-        fault_model = failure_policy.transitions if timeline else None
 
         num_jobs = len(jobs)
         # Arrival order over a cursor: pop(0) on a list is O(n) per
@@ -335,72 +697,29 @@ class ClusterSimulator:
         job_start: dict[str, float] = {}
         job_completion: dict[str, float] = {}
         live: list[_LiveFlow] = []
-        held: list[int] = []  # arrived or retried, waiting on inactive nodes
-        dropped: list[str] = []
-        # Trace jobs share phase tuples (template interning), so the
-        # demanded-node set is computed once per distinct template.
-        node_sets: dict[int, frozenset[int]] = {}
 
-        # The node-state machine: power state x DVFS factor x fault
-        # multiplier.  ``down`` and ``until`` shadow ``state`` so the loop's
-        # guards are O(1): no node down means direct admission, no
-        # transition in flight means no completion scan, and ``effective``
-        # stays None (plain allocation) while every factor is 1.0.
-        num_nodes = self.pool.num_nodes
+        # The node-state machine and the fault source.  Its containers
+        # are mutated in place, never rebound, so the loop aliases them.
+        nodes = NodeStates(
+            self,
+            jobs,
+            job_phase,
+            phase_live_count,
+            policy_model=model if dynamic else None,
+            faults=faults,
+            failure_policy=failure_policy,
+            layout=layout,
+        )
+        num_nodes = nodes.num_nodes
         specs = [self.pool.node_spec(n) for n in range(num_nodes)]
-        state = [ACTIVE] * num_nodes
-        down: set[int] = set()  # nodes not active
-        until: dict[int, float] = {}  # in-flight transition -> its end
-        factors = [1.0] * num_nodes  # policy-set DVFS
-        fault_mult = [1.0] * num_nodes  # straggler slowdowns
-        effective: tuple[float, ...] | None = None
-        net_mult = 1.0
-        crashed: dict[int, float] = {}  # node -> recovery time (inf = never)
-        recovering: set[int] = set()  # crash recoveries still booting
+        state = nodes.state
+        down = nodes.down
+        until = nodes.until
+        held = nodes.held
+        retry_ready = nodes.retry_ready
 
         node_energy = [0.0] * num_nodes
         intervals: list[Interval] = []
-        gated_seconds = 0.0
-        energy_saved = 0.0
-        recovery_energy = 0.0
-        # A down node's watts depend on the node alone, so they are
-        # computed once — and only for the source that can take it down.
-        if dynamic:
-            gated_w = [model.gated_power_w(spec) for spec in specs]
-            switching_w = [
-                model.transition_power_fraction * spec.peak_power_w
-                for spec in specs
-            ]
-            idle_w = [spec.idle_power_w for spec in specs]
-        if timeline:
-            crashed_w = [fault_model.gated_power_w(spec) for spec in specs]
-            booting_w = [
-                fault_model.transition_power_fraction * spec.peak_power_w
-                for spec in specs
-            ]
-
-        def set_state(node: int, new: str, end: float = math.inf) -> None:
-            state[node] = new
-            if new == ACTIVE:
-                down.discard(node)
-            else:
-                down.add(node)
-            if end < math.inf:
-                until[node] = end
-            else:
-                until.pop(node, None)
-
-        def rescale() -> None:
-            nonlocal effective
-            scaled = tuple(f * m for f, m in zip(factors, fault_mult))
-            effective = scaled if any(s != 1.0 for s in scaled) else None
-
-        def needed_nodes(index: int) -> frozenset[int]:
-            key = id(jobs[index].phases)
-            nodes = node_sets.get(key)
-            if nodes is None:
-                nodes = node_sets[key] = self._job_nodes(jobs[index])
-            return nodes
 
         def admit(index: int, phase: int = 0) -> None:
             self._advance_job(
@@ -408,10 +727,12 @@ class ClusterSimulator:
                 time_s, job_completion,
             )
 
-        def drop_job(index: int) -> None:
-            dropped.append(jobs[index].name)
-            job_phase[index] = None
-            phase_live_count[index] = 0
+        def live_jobs():
+            return (flow.job_index for flow in live)
+
+        def remove(victims: set[int]) -> None:
+            nonlocal live
+            live = [flow for flow in live if flow.job_index not in victims]
 
         # The allocation memo (see the module docstring): key -> (rates,
         # bindings, per-node CPU rates, utilizations and watts as if every
@@ -422,13 +743,14 @@ class ClusterSimulator:
         def allocation() -> tuple:
             """The live set's allocation outcome, computed on a memo miss."""
             nonlocal allocations
-            key = (tuple([id(flow.spec) for flow in live]), effective, net_mult)
+            effective = nodes.effective
+            key = (tuple([id(flow.spec) for flow in live]), effective, nodes.net_mult)
             entry = memo.get(key)
             if entry is not None:
                 return entry
             if live:
                 allocations += 1
-                rates, bindings = self._allocate(live, effective, net_mult)
+                rates, bindings = self._allocate(live, effective, nodes.net_mult)
             else:
                 rates, bindings = [], []
             cpu_rates = self._cpu_rates(live, rates)
@@ -447,29 +769,14 @@ class ClusterSimulator:
 
         def integrate(entry: tuple, dt: float) -> None:
             """Per-state energy over one piecewise-constant stretch."""
-            nonlocal gated_seconds, energy_saved, recovery_energy
             if dt <= 0:
                 return
             _, bindings, _, utils, powers = entry
             if down:
                 utils = list(utils)
                 powers = list(powers)
-                for node_id in sorted(down):
+                for node_id, watts in nodes.charge_down(dt):
                     utils[node_id] = 0.0
-                    if node_id in crashed:
-                        # The failure model's standby residual.  No savings
-                        # credit: a crash is not a policy decision.
-                        watts = crashed_w[node_id]
-                    elif node_id in recovering:
-                        watts = booting_w[node_id]
-                        recovery_energy += watts * dt
-                    else:
-                        if state[node_id] == GATED:
-                            watts = gated_w[node_id]
-                            gated_seconds += dt
-                        else:  # policy-driven gating or waking
-                            watts = switching_w[node_id]
-                        energy_saved += (idle_w[node_id] - watts) * dt
                     powers[node_id] = watts
             for node_id, watts in enumerate(powers):
                 node_energy[node_id] += watts * dt
@@ -485,104 +792,6 @@ class ClusterSimulator:
                         flow_jobs=tuple(flow.job_name for flow in live),
                     )
                 )
-
-        # ------------------------------------------------ fault source
-        fault_cursor = 0
-        next_fault_s = timeline[0][0] if timeline else math.inf
-        stragglers: dict[int, list] = {}
-        degrades: list = []
-        survived = 0
-        retried = 0
-        attempts = [0] * num_jobs
-        retry_ready: list[tuple[float, int]] = []  # (ready time, job) heap
-
-        def apply_due_faults() -> None:
-            nonlocal fault_cursor, next_fault_s, net_mult, survived, retried
-            nonlocal live
-            while next_fault_s <= time_s + _COMPLETION_EPS:
-                _, kind, event = timeline[fault_cursor]
-                fault_cursor += 1
-                next_fault_s = (
-                    timeline[fault_cursor][0]
-                    if fault_cursor < len(timeline)
-                    else math.inf
-                )
-                if kind in ("net-on", "net-off"):
-                    if kind == "net-on":
-                        survived += 1
-                        degrades.append(event)
-                    elif event in degrades:
-                        degrades.remove(event)
-                    net_mult = (
-                        math.prod(d.factor for d in degrades) if degrades else 1.0
-                    )
-                    continue
-                node = event.node % num_nodes
-                if kind == "crash":
-                    survived += 1
-                    prior = crashed.get(node)
-                    crashed[node] = (
-                        event.recover_at_s
-                        if prior is None
-                        else max(prior, event.recover_at_s)
-                    )
-                    # Whatever state the node was in, it is off *now*.
-                    set_state(node, GATED)
-                    recovering.discard(node)
-                    if layout is not None:
-                        layout.require_coverage(
-                            [n for n in range(num_nodes) if n not in crashed],
-                            context=f"after node {node} crashed at t={time_s:g}s",
-                        )
-                    # Kill every in-flight job that owns the dead node — a
-                    # running job owns every node any of its phases demands.
-                    victims = sorted(
-                        {
-                            flow.job_index
-                            for flow in live
-                            if node in needed_nodes(flow.job_index)
-                        }
-                    )
-                    if not victims:
-                        continue
-                    victim_set = set(victims)
-                    live = [f for f in live if f.job_index not in victim_set]
-                    for index in victims:
-                        phase_live_count[index] = 0
-                        job_phase[index] = 0  # progress is lost
-                        if (
-                            failure_policy.retries_enabled
-                            and attempts[index] < failure_policy.max_retries
-                        ):
-                            attempts[index] += 1
-                            retried += 1
-                            backoff = failure_policy.backoff_delay_s(
-                                jobs[index].name, attempts[index]
-                            )
-                            heapq.heappush(retry_ready, (time_s + backoff, index))
-                        else:
-                            drop_job(index)
-                elif kind == "recover":
-                    # A later crash may have extended the outage; only the
-                    # recovery that reaches the scheduled time revives.
-                    if crashed.get(node, math.inf) <= time_s + _COMPLETION_EPS:
-                        del crashed[node]
-                        if fault_model.boot_s > 0:
-                            set_state(node, WAKING, time_s + fault_model.boot_s)
-                            recovering.add(node)
-                        else:
-                            set_state(node, ACTIVE)
-                else:  # straggle-on / straggle-off
-                    group = stragglers.setdefault(node, [])
-                    if kind == "straggle-on":
-                        survived += 1
-                        group.append(event)
-                    elif event in group:
-                        group.remove(event)
-                    fault_mult[node] = (
-                        math.prod(s.slowdown for s in group) if group else 1.0
-                    )
-                    rescale()
 
         # ------------------------------------------- control-tick source
         next_tick_s = control_interval_s if dynamic else math.inf
@@ -604,6 +813,7 @@ class ClusterSimulator:
             nonlocal freq_actions
             ticks += 1
             cpu_rates = allocation()[2]
+            effective = nodes.effective
             loads = tuple(
                 min(
                     1.0,
@@ -622,7 +832,7 @@ class ClusterSimulator:
                 node_roles=roles,
                 node_states=tuple(state),
                 node_utilization=loads,
-                frequency_factors=tuple(factors),
+                frequency_factors=tuple(nodes.factors),
                 queue_depth=len({flow.job_index for flow in live}) + len(held),
                 held_jobs=len(held),
                 idle_s=time_s - last_busy_s,
@@ -637,7 +847,9 @@ class ClusterSimulator:
                         # demands — gating one mid-job would strand a
                         # later phase.
                         demanded = frozenset(
-                            n for flow in live for n in needed_nodes(flow.job_index)
+                            n
+                            for flow in live
+                            for n in nodes.needed_nodes(flow.job_index)
                         )
                     if (
                         0 <= node < num_nodes
@@ -646,30 +858,30 @@ class ClusterSimulator:
                     ):
                         gate_actions += 1
                         if model.shutdown_s > 0:
-                            set_state(node, GATING, time_s + model.shutdown_s)
+                            nodes.set_state(node, GATING, time_s + model.shutdown_s)
                         else:
-                            set_state(node, GATED)
+                            nodes.set_state(node, GATED)
                 elif isinstance(action, UngateNode):
                     node = action.node_id
                     if (
                         0 <= node < num_nodes
                         and state[node] == GATED
-                        and node not in crashed
+                        and node not in nodes.crashed
                     ):
                         ungate_actions += 1
                         if model.boot_s > 0:
-                            set_state(node, WAKING, time_s + model.boot_s)
+                            nodes.set_state(node, WAKING, time_s + model.boot_s)
                         else:
-                            set_state(node, ACTIVE)
+                            nodes.set_state(node, ACTIVE)
                 elif isinstance(action, SetFrequency):
                     if 0 <= action.node_id < num_nodes:
                         freq_actions += 1
-                        factors[action.node_id] = action.frequency_factor
+                        nodes.factors[action.node_id] = action.frequency_factor
                         stepped = True
                 else:
                     raise SimulationError(f"unknown control action: {action!r}")
             if stepped:
-                rescale()
+                nodes.rescale()
             while next_tick_s <= time_s + _COMPLETION_EPS:
                 next_tick_s += control_interval_s
 
@@ -684,54 +896,27 @@ class ClusterSimulator:
                 )
 
             # Sources with something due fire; the rest cost one test each.
-            if until:
-                for node in [
-                    n for n, end in until.items() if end <= time_s + _COMPLETION_EPS
-                ]:
-                    set_state(node, GATED if state[node] == GATING else ACTIVE)
-                    recovering.discard(node)
-            if next_fault_s <= time_s + _COMPLETION_EPS:
-                apply_due_faults()
-            while retry_ready and retry_ready[0][0] <= time_s + _COMPLETION_EPS:
-                held.append(heapq.heappop(retry_ready)[1])
+            if until or retry_ready or nodes.next_fault_s <= time_s + _COMPLETION_EPS:
+                nodes.head(time_s, live_jobs, remove)
 
             # Arrivals.  A job "starts" when it arrives — clamped, because
             # the admission window extends _COMPLETION_EPS past now — so
             # time held waiting for nodes is queueing delay, not erased.
-            # New arrivals queue behind held jobs to keep arrival order.
             while arrivals[cursor] <= time_s + _COMPLETION_EPS:
                 index = order[cursor]
                 cursor += 1
                 job_start[jobs[index].name] = max(time_s, jobs[index].start_time_s)
-                if down or held:
-                    held.append(index)
-                else:
+                if nodes.arrive(index):
                     admit(index)
-            # Held jobs whose nodes are all active admit; ones stranded by
-            # a node that never returns are shed.
             if held:
-                waiting: list[int] = []
-                for index in held:
-                    if not down or needed_nodes(index).isdisjoint(down):
-                        admit(index)
-                    elif crashed and any(
-                        crashed.get(n) == math.inf for n in needed_nodes(index)
-                    ):
-                        drop_job(index)
-                    else:
-                        waiting.append(index)
-                held = waiting
+                nodes.release_held(admit)
 
             if live or held:
                 last_busy_s = time_s
             if next_tick_s <= time_s + _COMPLETION_EPS:
                 control_tick()
 
-            horizon = min(arrivals[cursor], next_tick_s, next_fault_s)
-            if until:
-                horizon = min(horizon, min(until.values()))
-            if retry_ready:
-                horizon = min(horizon, retry_ready[0][0])
+            horizon = min(arrivals[cursor], next_tick_s, nodes.horizon())
 
             if not live:
                 if cursor >= num_jobs and not held and not retry_ready:
@@ -777,11 +962,7 @@ class ClusterSimulator:
                     if phase_live_count[index] == 0 and job_phase[index] is not None:
                         admit(index, job_phase[index] + 1)
 
-        if not job_completion:
-            raise SimulationError(
-                "no job survived the fault schedule: all "
-                f"{len(dropped)} submitted jobs were dropped"
-            )
+        nodes.require_survivor(job_completion)
         # Hot-loop accounting stays in locals and flushes once per run, so
         # the disabled path costs one attribute check here.
         telemetry = get_telemetry()
@@ -794,10 +975,10 @@ class ClusterSimulator:
                 telemetry.count("sim.control.gate_actions", gate_actions)
                 telemetry.count("sim.control.ungate_actions", ungate_actions)
                 telemetry.count("sim.control.freq_actions", freq_actions)
-            if timeline:
-                telemetry.count("sim.faults.onsets", survived)
-                telemetry.count("sim.faults.retried_jobs", retried)
-                telemetry.count("sim.faults.dropped_jobs", len(dropped))
+            if nodes.timeline:
+                telemetry.count("sim.faults.onsets", nodes.survived)
+                telemetry.count("sim.faults.retried_jobs", nodes.retried)
+                telemetry.count("sim.faults.dropped_jobs", len(nodes.dropped))
         return SimulationResult(
             makespan_s=time_s,
             energy_j=sum(node_energy),
@@ -805,13 +986,13 @@ class ClusterSimulator:
             job_start_s=job_start,
             job_completion_s=job_completion,
             intervals=intervals,
-            gated_node_seconds=gated_seconds,
-            energy_saved_j=energy_saved,
-            recovery_energy_j=recovery_energy,
-            retried_jobs=retried,
-            dropped_jobs=len(dropped),
-            dropped_job_names=tuple(dropped),
-            faults_survived=survived,
+            gated_node_seconds=nodes.gated_seconds,
+            energy_saved_j=nodes.energy_saved,
+            recovery_energy_j=nodes.recovery_energy,
+            retried_jobs=nodes.retried,
+            dropped_jobs=len(nodes.dropped),
+            dropped_job_names=tuple(nodes.dropped),
+            faults_survived=nodes.survived,
         )
 
     @staticmethod

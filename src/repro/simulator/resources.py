@@ -10,6 +10,7 @@ a Beefy node can saturate ingestion while still sending its own partitions
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -45,7 +46,7 @@ def nic_out(node_id: int) -> str:
     return f"{NIC_OUT}:{node_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resource:
     """One shared rate-capacity resource."""
 
@@ -79,7 +80,8 @@ class ResourcePool:
                 (NIC_IN, spec.nic_bandwidth_mbps),
                 (NIC_OUT, spec.nic_bandwidth_mbps),
             ):
-                name = f"{kind}:{node_id}"
+                # interned: a multiplexed batch holds every design's pool
+                name = sys.intern(f"{kind}:{node_id}")
                 self._resources[name] = Resource(
                     name=name, capacity_mbps=capacity, kind=kind, node_id=node_id
                 )

@@ -28,18 +28,18 @@ What gets recorded (when enabled):
   (joins and timed candidates evaluated in batches), and the route each
   candidate of a ``SimulatorEvaluator`` timed batch took, added once per
   batch: ``evaluator.route.multiplexed`` (records from the multiplexed
-  loop, time-of-day carbon included), ``evaluator.route.serial.policy``
-  (a dynamic control policy), ``evaluator.route.serial.faults`` (a
-  non-empty fault schedule) and ``evaluator.route.fallback.error`` (the
-  loop raised, so the batch replayed serially; also counted as
-  ``evaluator.multiplex_fallbacks``);
+  loop, time-of-day carbon and fault schedules included),
+  ``evaluator.route.serial.policy`` (a dynamic control policy) and
+  ``evaluator.route.fallback.error`` (the loop raised, so the batch
+  replayed serially; also counted as ``evaluator.multiplex_fallbacks``);
 * the simulators — ``sim.runs`` (one per serial run, whatever its event
   sources) / ``sim.events`` / ``sim.allocations`` (the max-min
   allocations the serial loop computed: misses of its per-run memo, so
   ``sim.allocations / sim.events`` is the number of fresh allocations
   per event), control-tick counters (``sim.control.*``,
   runs with a dynamic policy), fault accounting (``sim.faults.*``, runs
-  with a non-empty fault schedule), and the multiplexed loop's iteration
+  with a non-empty fault schedule; the multiplexed loop adds its lanes'
+  totals once per batch), and the multiplexed loop's iteration
   and allocation-kernel batch-size counters (``sim.multiplex.*``);
 * ``Study.report()`` renders the registry,
   :func:`repro.analysis.export.telemetry_to_json` persists it next to a

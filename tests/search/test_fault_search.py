@@ -1,7 +1,7 @@
 """Degraded-mode (nemesis) evaluation through the search engine.
 
-A :class:`FaultedTrace` routes to the exact serial simulation path,
-records carry a ``degraded_latency`` profile plus failure accounting
+A :class:`FaultedTrace` replays on the multiplexed loop, bit-identical to
+the serial simulation path; records carry a ``degraded_latency`` profile plus failure accounting
 (``recovery_energy_j``, ``retried_jobs``, ``dropped_jobs``,
 ``faults_survived``), and selection happens through
 ``best_under_degraded_sla``.  The healthy paths — weights-only, timed
@@ -10,11 +10,12 @@ serial, timed multiplexed — must stay byte-for-byte untouched.
 
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import ConfigurationError, ModelError
 from repro.faults import FailurePolicy, FaultSchedule, NodeCrash
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.search import DesignGrid, DesignSpaceSearch, SimulatorEvaluator
+from repro.search.evaluators import evaluate_timed_design
 from repro.search.pareto import best_under_degraded_sla
 from repro.study import Study
 from repro.workloads.arrivals import periodic_arrivals
@@ -104,6 +105,47 @@ class TestDegradedRecords:
         )
         result = engine.search(GRID, faulted)
         assert result.feasible_points
+
+
+class TestReplicationFactorFit:
+    """A design with fewer nodes than the replication factor is one
+    infeasible record, not the end of the search."""
+
+    REASON = "replication factor 3 needs at least 3 nodes; this design has 2"
+
+    def test_small_designs_become_infeasible_records(self):
+        faulted = trace().with_faults(
+            mid_crash(), failure_policy=RETRY, replication_factor=3
+        )
+        mixed = DesignGrid(node_pairs=GRID.node_pairs, cluster_sizes=(2, 4))
+        result = DesignSpaceSearch(evaluator=SimulatorEvaluator()).search(
+            mixed, faulted
+        )
+        assert len(result.points) == 8
+        small = [p for p in result.points if p.candidate.num_nodes == 2]
+        assert len(small) == 3
+        for point in small:
+            assert not point.feasible
+            assert point.infeasible_reason == self.REASON
+            # the serial route makes the same record
+            serial = evaluate_timed_design(
+                SimulatorEvaluator(), point.candidate, faulted
+            )
+            assert (serial.feasible, serial.infeasible_reason) == (False, self.REASON)
+        # values, not labels: a one-size grid drops the "|n4" suffix
+        alone = DesignSpaceSearch(evaluator=SimulatorEvaluator()).search(
+            GRID, faulted
+        )
+        large = [p for p in result.points if p.candidate.num_nodes == 4]
+        assert len(large) == len(alone.points) == 5
+        assert all(point.feasible for point in large)
+        assert [(p.time_s, p.energy_j, p.degraded_latency) for p in large] == [
+            (p.time_s, p.energy_j, p.degraded_latency) for p in alone.points
+        ]
+
+    def test_factor_below_one_still_raises(self):
+        with pytest.raises(ConfigurationError, match="replication_factor"):
+            trace().with_faults(mid_crash(), replication_factor=0)
 
 
 class TestEmptyScheduleParity:

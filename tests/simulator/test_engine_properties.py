@@ -18,6 +18,7 @@ from repro.hardware.powerstate import PowerStateModel
 from repro.policy import DvfsLadderPolicy, PolicyChain, PowerGatePolicy
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.jobs import FlowSpec, Job, Phase
+from repro.simulator.multiplex import run_multiplexed
 from repro.simulator.resources import cpu, disk, nic_in, nic_out
 
 NODE = NodeSpec(
@@ -157,6 +158,26 @@ def workloads(draw):
     return num_nodes, jobs, faults
 
 
+def assert_invariants(result, jobs, label, record=False):
+    """Energy conservation, causality, and every submitted job accounted
+    for exactly once (completed or dropped)."""
+    assert sum(result.node_energy_j) == result.energy_j, label
+    if record:
+        intervals = sum(i.energy_j for i in result.intervals)
+        assert intervals == pytest.approx(result.energy_j, rel=1e-9), label
+    submitted = {job.name: job.start_time_s for job in jobs}
+    completed = set(result.job_completion_s)
+    dropped = set(result.dropped_job_names)
+    assert completed | dropped == set(submitted), label
+    assert not completed & dropped, label
+    assert result.dropped_jobs == len(result.dropped_job_names), label
+    for name in completed:
+        start = result.job_start_s[name]
+        assert start >= submitted[name], label
+        assert result.job_completion_s[name] >= start, label
+        assert result.job_completion_s[name] <= result.makespan_s, label
+
+
 @settings(max_examples=60, deadline=None)
 @given(workloads(), st.booleans())
 def test_invariants_hold_in_every_mode(workload, record):
@@ -171,19 +192,25 @@ def test_invariants_hold_in_every_mode(workload, record):
         "policy": {"policy": CONTROL, "control_interval_s": 0.25},
         "faults": {"faults": faults, "failure_policy": RETRY},
     }
-    submitted = {job.name: job.start_time_s for job in jobs}
     for mode, options in modes.items():
-        result = sim.run(jobs, **options)
-        assert sum(result.node_energy_j) == result.energy_j, mode
-        if record:
-            intervals = sum(i.energy_j for i in result.intervals)
-            assert intervals == pytest.approx(result.energy_j, rel=1e-9), mode
-        completed = set(result.job_completion_s)
-        dropped = set(result.dropped_job_names)
-        assert completed | dropped == set(submitted), mode
-        assert not completed & dropped, mode
-        for name in completed:
-            start = result.job_start_s[name]
-            assert start >= submitted[name], mode
-            assert result.job_completion_s[name] >= start, mode
-            assert result.job_completion_s[name] <= result.makespan_s, mode
+        assert_invariants(sim.run(jobs, **options), jobs, mode, record)
+
+
+@settings(max_examples=40, deadline=None)
+@given(workloads())
+def test_invariants_hold_on_multiplexed_faulted_lanes(workload):
+    """The same invariants, checked on the multiplexed loop's own faulted
+    results rather than through parity with the serial loop: one schedule
+    over lanes of two sizes, so crashed node ids wrap differently."""
+    num_nodes, jobs, faults = workload
+    sizes = (num_nodes, num_nodes + 1)
+    results = run_multiplexed(
+        [
+            (ClusterSimulator(ClusterSpec.homogeneous(NODE, n), record_intervals=False), jobs)
+            for n in sizes
+        ],
+        faults=faults,
+        failure_policy=RETRY,
+    )
+    for n, result in zip(sizes, results):
+        assert_invariants(result, jobs, f"{n} nodes")

@@ -12,12 +12,13 @@ import pytest
 
 from repro.costmodel import CarbonIntensityCurve, CostModel
 from repro.errors import SimulationError
-from repro.faults import FailurePolicy, FaultSchedule, NodeCrash
+from repro.faults import FailurePolicy, FaultSchedule, NodeCrash, Straggler
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.policy import PolicyCandidate, PowerGatePolicy, StaticPolicy
 from repro.search import DesignGrid, SimulatorEvaluator
 from repro.search import evaluators
+from repro.search.evaluators import evaluate_timed_design
 from repro.telemetry import capture
 from repro.workloads.arrivals import periodic_arrivals
 from repro.workloads.protocol import TimedTrace
@@ -73,14 +74,67 @@ def test_mixed_batch_counts_each_candidate_once():
     }
 
 
-def test_faulted_batch_is_all_serial():
-    faulted = trace().with_faults(
-        FaultSchedule(events=(NodeCrash(node=1, at_s=0.5, recover_at_s=6.0),)),
-        failure_policy=FailurePolicy.abort_and_retry(backoff_base_s=1.0),
+def faulted_trace():
+    """Two crashes, the second killing the first one's retry (dropped past
+    a one-retry budget), and a straggler later on."""
+    return trace().with_faults(
+        FaultSchedule(
+            events=(
+                NodeCrash(node=1, at_s=0.5, recover_at_s=2.0),
+                NodeCrash(node=2, at_s=3.5, recover_at_s=5.0),
+                Straggler(node=0, at_s=15.2, slowdown=0.5, duration_s=3.0),
+            )
+        ),
+        failure_policy=FailurePolicy.abort_and_retry(
+            max_retries=1,
+            backoff_base_s=0.5,
+            transitions=PowerStateModel(shutdown_s=0.0, boot_s=0.5),
+        ),
     )
-    assert routes(SimulatorEvaluator(), faulted, DESIGNS) == {
-        "evaluator.route.serial.faults": 4,
+
+
+def test_faulted_batch_rides_the_loop():
+    assert routes(SimulatorEvaluator(), faulted_trace(), DESIGNS) == {
+        "evaluator.route.multiplexed": 4,
     }
+
+
+def test_mixed_faulted_batch():
+    """Under faults too, only the dynamic policies leave the loop."""
+    batch = [
+        DESIGNS[0],
+        PolicyCandidate(design=DESIGNS[1], policy=StaticPolicy()),
+        PolicyCandidate(design=DESIGNS[2], policy=GATE, control_interval_s=0.5),
+        DESIGNS[3],
+    ]
+    assert routes(SimulatorEvaluator(), faulted_trace(), batch) == {
+        "evaluator.route.multiplexed": 3,
+        "evaluator.route.serial.policy": 1,
+    }
+
+
+def test_fault_counters_match_serial_replay():
+    """The loop flushes the fault counters once per batch; their totals
+    are what replaying each candidate serially reports."""
+    faulted = faulted_trace()
+
+    def counters(evaluate) -> dict:
+        with capture() as telemetry:
+            evaluate()
+        return {
+            name: value
+            for name, value in telemetry.counters.items()
+            if name.startswith("sim.faults.")
+        }
+
+    batch = counters(lambda: SimulatorEvaluator().evaluate_trace_batch(faulted, DESIGNS))
+    serial = counters(
+        lambda: [evaluate_timed_design(SimulatorEvaluator(), d, faulted) for d in DESIGNS]
+    )
+    assert batch == serial
+    assert batch["sim.faults.onsets"] == 12
+    assert batch["sim.faults.retried_jobs"] > 0
+    assert batch["sim.faults.dropped_jobs"] > 0
 
 
 def test_loop_error_falls_back_per_batch(monkeypatch):

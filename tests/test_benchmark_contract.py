@@ -7,6 +7,10 @@ SLA selectors to pin its golden picks.  Renaming or removing any of them
 breaks the benchmark without failing a test here, so this module loads
 the harness (without ``layers.install()``, which patches globals) and
 exercises those names the way the benchmark does, at toy size.
+
+It also runs the harness's own oracle and invariant checks on the toy
+fault and carbon campaigns, so a batch route that stops matching serial
+replay fails here, not only in the full benchmark.
 """
 
 import importlib.util
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.search import EvaluationCache
+from repro.search.evaluators import evaluate_timed_design
 
 PERF = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
@@ -49,3 +54,20 @@ def test_golden_selections_run_on_a_toy_campaign(name):
         labels = {point.label for point in result.points}
         assert picks["knee"] in labels
         assert picks["sla_pick"] in labels
+
+
+@pytest.mark.parametrize("name", ["trace-faults", "trace-carbon"])
+def test_toy_campaign_passes_the_oracle_and_invariant_checks(name):
+    """Every record equals its one-at-a-time serial replay, field by field
+    as ``checks._oracle_view`` compares them, and breaks no invariant."""
+    workload = campaigns.build(name, campaigns.DEFAULT_SEED, toy=True)
+    with workload.engine(EvaluationCache()) as engine:
+        results = campaigns.sweep(engine, workload.searches)
+    for (candidates, target), result in zip(workload.searches, results):
+        assert len(result.points) == len(candidates) == 7
+        for candidate, point in zip(candidates, result.points):
+            oracle = evaluate_timed_design(workload.evaluator, candidate, target)
+            assert checks._oracle_view(point) == checks._oracle_view(oracle)
+            if name == "trace-faults":
+                assert point.retried_jobs >= 1
+    assert checks.check_invariants(workload, results) == []
