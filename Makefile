@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint pytest bench bench-json search-demo profile perf perf-pairs
+.PHONY: test lint pytest bench bench-json search-demo profile perf perf-pairs perf-turns
 
 # Tier-1 verification: lint (when available) + the unit/integration
 # suite (benchmarks are opt-in).
@@ -66,7 +66,15 @@ PARENT ?= HEAD
 WORKLOAD ?=
 PAIRS ?= 10
 SEED ?= 11
+TURNS ?= 20
 
 perf-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --pairs $(PAIRS) \
 		--seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
+
+# Turn-taking diagnostic: one long-lived process per tree, alternating
+# cold campaigns of one workload (WORKLOAD is required).  Separates the
+# code from host drift; perf-pairs stays the gate for a claim.
+perf-turns:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--turns $(TURNS) --seed $(SEED)

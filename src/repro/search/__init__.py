@@ -102,8 +102,11 @@ Instead the unit of evaluation, memoization, and dispatch is
    candidates over the persistent pool and multiplexes within each
    chunk (the cheap-batch threshold counts candidates x arrival events,
    since each replay simulates every arrival); a candidate whose replay
-   fails falls back to its own serial replay, so error isolation
-   matches the one-at-a-time path;
+   fails inside the loop (replica coverage lost, every job dropped, a
+   stall) leaves it alone and becomes the infeasible record its serial
+   replay makes, while its batchmates finish, so error isolation matches
+   the one-at-a-time path; only a loop error no single candidate owns
+   sends the batch to serial replay;
 4. **score** — each record's ``time_s`` is the stream's makespan,
    ``energy_j`` the total including idle gaps between arrivals, and
    ``latency`` a :class:`~repro.search.evaluators.LatencyProfile`

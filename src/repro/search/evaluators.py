@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from repro.core.model import ModelParameters, Prediction, PStoreModel
 from repro.costmodel.model import CostModel
-from repro.errors import ConfigurationError, ModelError, ReproError
+from repro.errors import ConfigurationError, ModelError, ReproError, SimulationError
 from repro.hardware.cluster import ClusterSpec
 from repro.pstore.planner import plan_join
 from repro.pstore.simulated import SimulatedPStore, join_shape, trace_jobs
@@ -625,10 +625,12 @@ class SimulatorEvaluator(SearchEvaluator):
         exactly.
 
         Error isolation matches the serial loop: a design whose plans
-        cannot be built becomes an infeasible record, and if any lane
-        fails *mid-simulation* (the multiplexed loop aborts as a whole)
-        the batch falls back to serial per-candidate replay so one broken
-        design cannot poison its batchmates.
+        cannot be built becomes an infeasible record, and so does a lane
+        that fails *mid-simulation* — the loop hands back the error its
+        serial replay raises, with the same message, while its batchmates
+        finish — so one broken design cannot poison its batchmates.  Only
+        a loop error that no single lane owns sends the whole batch to
+        serial per-candidate replay.
 
         Candidates carrying a *dynamic* control policy cannot share the
         multiplexed event loop (control ticks and power-state transitions
@@ -646,9 +648,9 @@ class SimulatorEvaluator(SearchEvaluator):
         degraded records match :func:`evaluate_timed_design` exactly.  A
         design too small for the trace's replication factor becomes an
         infeasible record.  A lane that loses replica coverage or drops
-        every job raises inside the loop, which sends the batch to the
-        serial fallback above.  An *empty* schedule is bit-identical to
-        the bare trace.
+        every job becomes an infeasible record the same way, through its
+        error slot.  An *empty* schedule is bit-identical to the bare
+        trace.
 
         Cost models of every kind stay on the fast path.  A time-of-day
         carbon curve is handed to the loop, which integrates each lane's
@@ -725,7 +727,11 @@ class SimulatorEvaluator(SearchEvaluator):
                 telemetry.count("evaluator.route.multiplexed", len(runs))
                 record_of = self._degraded_record if faulted else self._trace_record
                 for (position, candidate, *_), result in zip(runs, results):
-                    records[position] = record_of(candidate, result)
+                    records[position] = (
+                        _infeasible_record(candidate, result)
+                        if isinstance(result, SimulationError)
+                        else record_of(candidate, result)
+                    )
         return records
 
     def fingerprint(self) -> tuple:

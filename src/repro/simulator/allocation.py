@@ -294,6 +294,8 @@ def max_min_fair_rates_flat(
             flow_lanes[newly], minlength=n_lanes
         )
         flow_ids = flow_ids[~newly]
+        if not flow_ids.size:
+            break  # nothing reads the entries again
         entry_keep = ~flow_frozen[entry_flow]
         entry_flow = entry_flow[entry_keep]
         entry_res = entry_res[entry_keep]

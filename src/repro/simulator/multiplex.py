@@ -31,22 +31,47 @@ bindings from the scalar allocator).
 Flat state layout
 -----------------
 Interval-free lanes — the design-search workload — keep *no* per-lane
-flow objects at all.  Every live flow of every lane lives in global flat
-arrays, lane-contiguous and in the scalar engine's live-list order
-(survivors first, admissions appended): per-flow remaining volume,
-completion floor, owning lane/job, and per-demand-entry (resource,
-coefficient) rows whose resource ids are pre-offset into one global
-block-diagonal id space.  One allocator call
-(:func:`~repro.simulator.allocation.max_min_fair_rates_flat`), one
-per-node CPU-rate ``bincount``, one vectorized utilization pass, and one
-retirement gather then serve *all* lanes per iteration; only admissions,
-idle gaps, phase barriers, and the (memoized) utilization->watts map
-remain scalar, and each touches a handful of lanes or nodes per event.
+flow objects at all, and the loop keeps only per-flow state: five global
+arrays (owning lane, job, template id, remaining volume, completion
+floor), lane-contiguous and in the scalar engine's live-list order
+(survivors first, admissions appended).
+
+Everything entry-sized comes from one *template universe* per
+:func:`run_multiplexed` call.  Every distinct flow template of the
+batch is interned there once, by value, so a template id means the same
+flow in every lane; per template the universe holds its demand rows
+(local resource id, coefficient), its CPU rows (node, coefficient), its
+volume, floor and has-network flag.  Each allocation gathers the live
+flows' demand entries out of it (adding each lane's offset into one
+global block-diagonal resource id space), hands them to the allocator
+(:func:`~repro.simulator.allocation.max_min_fair_rates_flat`), and lets
+them go; phase D gathers the CPU rows for one per-node CPU-rate
+``bincount`` the same way.  No entry-sized array outlives an iteration.
+Admissions from every lane merge with a fixed number of array calls:
+their template ids and jobs are joined in Python, in lane order, and
+each per-flow array is spliced once.  One vectorized utilization pass
+and one retirement gather complete the iteration; only admissions, idle
+gaps, phase barriers, and the (memoized) utilization->watts map remain
+scalar, and each touches a handful of lanes or nodes per event.
+
+Lane-internal order is what keeps the arithmetic serial: ``bincount``
+adds a node's CPU demand, and the allocator a resource's load, in input
+order, and phase E takes each lane's minimum over its contiguous block.
+So within a lane, flows must stay in the serial live list's order, and
+each flow's entries in demand-insertion order; lanes may sit anywhere.
 
 Lanes that replay the same job list on the same node count share one
-*job index*: arrival order, the interned flow templates and their phase
-memo, and the entry universe admissions gather from.  Template ids only
-index that universe, so sharing it changes no value a lane reads.
+*job index*: arrival order, the phase memo (each phase's template ids)
+and the demanded-node memo.
+
+Error isolation
+---------------
+A lane that raises :class:`~repro.errors.SimulationError` mid-run — its
+replica coverage lost, every job dropped, a stall, or ``max_events``
+exceeded — leaves the loop alone: its flows leave through the
+retirement gather, its pending admissions are dropped, a stalled lane
+steps by zero, and its result slot holds the error its serial run
+raises.  Its batchmates finish unchanged.
 
 Carbon accumulation
 -------------------
@@ -132,7 +157,6 @@ _KIND_OFFSET = {CPU: 0, DISK: 1, NIC_IN: 2, NIC_OUT: 3}
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0)
-_EMPTY_BOOL = np.zeros(0, dtype=bool)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -142,27 +166,110 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-class _Template:
-    """Precomputed array form of one distinct :class:`FlowSpec`."""
+def _ragged(
+    offset: np.ndarray, count: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the rows of every id in ``ids`` from a ragged table, whose
+    id ``i`` owns rows ``offset[i]`` up to ``offset[i] + count[i]``.
 
-    __slots__ = ("spec", "volume_mb", "floor", "res_idx", "coef", "has_network")
+    Returns ``(counts, row)``: how many rows each element of ``ids``
+    owns, and every gathered row's index into the table, id by id and
+    each id's rows in table order.  ``np.repeat(x, counts)`` spreads a
+    value per element of ``ids`` over its rows.
+    """
+    counts = count[ids]
+    row = np.repeat(offset[ids] - np.cumsum(counts) + counts, counts)
+    row += np.arange(row.shape[0])
+    return counts, row
 
-    def __init__(self, spec: FlowSpec):
-        self.spec = spec
-        self.volume_mb = spec.volume_mb
-        self.floor = _COMPLETION_EPS * max(1.0, spec.volume_mb)
-        res_idx: list[int] = []
-        coef: list[float] = []
-        has_network = False
-        for resource, c in spec.demands.items():
-            kind, _, node = resource.partition(":")
-            res_idx.append(int(node) * 4 + _KIND_OFFSET[kind])
-            coef.append(c)
-            if kind in NETWORK_KINDS:
-                has_network = True
-        self.res_idx = np.array(res_idx, dtype=np.int64)
-        self.coef = np.array(coef)
-        self.has_network = has_network
+
+class _Universe:
+    """Every distinct flow template of one :func:`run_multiplexed` call.
+
+    Templates are interned by value (name, volume, demands), so a template
+    id names the same flow in every lane of the batch.  Per template the
+    table holds its demand rows (local resource id, coefficient) and its
+    CPU rows (node, coefficient), both in demand-insertion order, plus its
+    volume, completion floor and has-network flag.  The loop gathers its
+    entry-sized arrays out of these rows right before use; the arrays are
+    rebuilt by :meth:`ensure` only when a template was added since.
+    """
+
+    __slots__ = (
+        "specs",
+        "net",
+        "_rows",
+        "_by_id",
+        "_by_value",
+        "_size",
+        "offset",
+        "count",
+        "res",
+        "coef",
+        "cpu_offset",
+        "cpu_count",
+        "cpu_node",
+        "cpu_coef",
+        "volume",
+        "floor",
+        "has_net",
+    )
+
+    def __init__(self):
+        self.specs: list[FlowSpec] = []
+        #: has-network flag by template id, for scalar bookkeeping
+        self.net: list[bool] = []
+        self._rows: list[list[tuple[int, float]]] = []
+        self._by_id: dict[int, int] = {}
+        self._by_value: dict[tuple, int] = {}
+        self._size = -1
+        self.ensure()  # empty arrays, readable before the first template
+
+    def intern(self, spec: FlowSpec) -> int:
+        tid = self._by_id.get(id(spec))
+        if tid is not None:
+            return tid
+        value_key = (spec.name, spec.volume_mb, tuple(spec.demands.items()))
+        tid = self._by_value.get(value_key)
+        if tid is None:
+            tid = self._by_value[value_key] = len(self.specs)
+            rows = []
+            has_network = False
+            for resource, c in spec.demands.items():
+                kind, _, node = resource.partition(":")
+                rows.append((int(node) * 4 + _KIND_OFFSET[kind], c))
+                has_network = has_network or kind in NETWORK_KINDS
+            self.specs.append(spec)
+            self._rows.append(rows)
+            self.net.append(has_network)
+        self._by_id[id(spec)] = tid
+        return tid
+
+    def ensure(self) -> None:
+        """Rebuild the arrays if a template was added since the last call."""
+        if self._size == len(self.specs):
+            return
+        rows = self._rows
+        cpu_rows = [
+            [(r >> 2, c) for r, c in t if r % 4 == _KIND_OFFSET[CPU]] for t in rows
+        ]
+        self.count = np.array([len(t) for t in rows], dtype=np.int64)
+        self.offset = _offsets(self.count)[:-1]
+        self.res = np.array([r for t in rows for r, _ in t], dtype=np.int64)
+        self.coef = np.array([c for t in rows for _, c in t], dtype=np.float64)
+        self.cpu_count = np.array([len(t) for t in cpu_rows], dtype=np.int64)
+        self.cpu_offset = _offsets(self.cpu_count)[:-1]
+        self.cpu_node = np.array([n for t in cpu_rows for n, _ in t], dtype=np.int64)
+        self.cpu_coef = np.array(
+            [c for t in cpu_rows for _, c in t], dtype=np.float64
+        )
+        self.volume = np.array([s.volume_mb for s in self.specs], dtype=np.float64)
+        self.floor = np.array(
+            [_COMPLETION_EPS * max(1.0, s.volume_mb) for s in self.specs],
+            dtype=np.float64,
+        )
+        self.has_net = np.array(self.net, dtype=bool)
+        self._size = len(self.specs)
 
 
 class _State:
@@ -180,99 +287,36 @@ class _State:
 class _JobIndex:
     """What every lane replaying one job list on one node count shares.
 
-    Arrival order and start times, the interned templates and the phase
-    memo over them, and the *entry universe*: every template's demand
-    entries concatenated, out of which admissions gather their rows
-    instead of building per-flow arrays.  The universe is rebuilt only
-    when a new template appears (a handful of times per job list).
+    Only what depends on the job list and the node count: arrival order
+    and start times, the phase memo (each phase's template ids in the
+    batch's :class:`_Universe`, and how many of them cross the network),
+    and faulted lanes' demanded-node memo.
     """
 
-    __slots__ = (
-        "jobs",
-        "order",
-        "starts",
-        "templates",
-        "_intern_by_id",
-        "_intern_by_value",
-        "_phase_memo",
-        "_size",
-        "res",
-        "coef",
-        "is_cpu",
-        "entry_ranges",
-        "entry_counts",
-        "volume",
-        "floor",
-        "has_net",
-        "node_sets",
-    )
+    __slots__ = ("jobs", "order", "starts", "universe", "_phase_memo", "node_sets")
 
-    def __init__(self, jobs: Sequence[Job], template_cache: dict):
+    def __init__(self, jobs: Sequence[Job], universe: _Universe):
         self.jobs = list(jobs)
         self.order = sorted(
             range(len(self.jobs)), key=lambda i: self.jobs[i].start_time_s
         )
         self.starts = [self.jobs[i].start_time_s for i in self.order]
-        self.templates: list[_Template] = []
-        self._intern_by_id: dict[int, tuple[_Template, int]] = {}
-        #: value-keyed template cache, shared across one batch's indexes
-        #: (candidates of the same cluster size expand a trace into
-        #: value-identical FlowSpecs)
-        self._intern_by_value = template_cache
+        self.universe = universe
         self._phase_memo: dict[int, tuple[list[int], int]] = {}
-        self._size = 0
         #: faulted lanes' demanded-node memo (node ids depend only on the
         #: jobs, and the index is per node count)
         self.node_sets: dict[int, frozenset[int]] = {}
-
-    def _intern(self, spec: FlowSpec) -> tuple[_Template, int]:
-        hit = self._intern_by_id.get(id(spec))
-        if hit is not None:
-            return hit
-        value_key = (spec.name, spec.volume_mb, tuple(spec.demands.items()))
-        template = self._intern_by_value.get(value_key)
-        if template is None:
-            template = self._intern_by_value[value_key] = _Template(spec)
-        hit = (template, len(self.templates))
-        self.templates.append(template)
-        self._intern_by_id[id(spec)] = hit
-        return hit
 
     def phase(self, phase) -> tuple[list[int], int]:
         """Template ids of a phase's non-empty flows, and how many of
         them cross the network."""
         memo = self._phase_memo.get(id(phase))
         if memo is None:
-            tids: list[int] = []
-            net = 0
-            for flow in phase.flows:
-                if flow.volume_mb > 0:
-                    template, tid = self._intern(flow)
-                    tids.append(tid)
-                    if template.has_network:
-                        net += 1
+            universe = self.universe
+            tids = [universe.intern(flow) for flow in phase.flows if flow.volume_mb > 0]
+            net = sum(universe.net[tid] for tid in tids)
             memo = self._phase_memo[id(phase)] = (tids, net)
         return memo
-
-    def ensure_universe(self) -> None:
-        if self._size == len(self.templates):
-            return
-        self.res = np.concatenate([t.res_idx for t in self.templates])
-        self.coef = np.concatenate([t.coef for t in self.templates])
-        self.is_cpu = self.res % 4 == _KIND_OFFSET[CPU]
-        counts = [t.res_idx.shape[0] for t in self.templates]
-        offsets = _offsets(np.array(counts, dtype=np.int64))
-        self.entry_ranges = [
-            np.arange(offsets[i], offsets[i + 1], dtype=np.int64)
-            for i in range(len(counts))
-        ]
-        self.entry_counts = np.array(counts, dtype=np.int64)
-        self.volume = np.array([t.volume_mb for t in self.templates])
-        self.floor = np.array([t.floor for t in self.templates])
-        self.has_net = np.array(
-            [t.has_network for t in self.templates], dtype=bool
-        )
-        self._size = len(self.templates)
 
 
 class _Lane:
@@ -309,8 +353,6 @@ class _Lane:
         "job_completion",
         "live_tid",
         "live_job",
-        "entry_idx",
-        "entry_counts",
         "pend_tids",
         "pend_jobs",
         "keep",
@@ -353,10 +395,9 @@ class _Lane:
         self.n_live = 0
         self.flow_jobs: np.ndarray | None = None
         self.killed: np.ndarray | None = None
+        #: recording lanes: their live flows' template ids and jobs
         self.live_tid = _EMPTY_I64
         self.live_job = _EMPTY_I64
-        self.entry_idx = _EMPTY_I64
-        self.entry_counts = _EMPTY_I64
         #: admissions not yet merged into the live arrays (flushed before
         #: the next allocation)
         self.pend_tids: list[int] = []
@@ -438,10 +479,8 @@ class _Lane:
         pending = list(zip(self.pend_tids, self.pend_jobs))
         kept = [(tid, job) for tid, job in pending if job not in victims]
         if len(kept) < len(pending):
-            templates = self.shared.templates
-            self.n_net -= sum(
-                templates[tid].has_network for tid, job in pending if job in victims
-            )
+            net = self.shared.universe.net
+            self.n_net -= sum(net[tid] for tid, job in pending if job in victims)
             self.pend_tids = [tid for tid, _ in kept]
             self.pend_jobs = [job for _, job in kept]
 
@@ -596,18 +635,11 @@ class _Lane:
         if not self.pend_tids:
             self.appended = None
             return
-        shared = self.shared
-        shared.ensure_universe()
+        self.shared.universe.ensure()
         new = np.array(self.pend_tids, dtype=np.int64)
         self.live_tid = np.concatenate([self.live_tid, new])
         self.live_job = np.concatenate(
             [self.live_job, np.array(self.pend_jobs, dtype=np.int64)]
-        )
-        self.entry_idx = np.concatenate(
-            [self.entry_idx] + [shared.entry_ranges[t] for t in self.pend_tids]
-        )
-        self.entry_counts = np.concatenate(
-            [self.entry_counts, shared.entry_counts[new]]
         )
         self.appended = new
         self.pend_tids = []
@@ -624,9 +656,9 @@ class _Lane:
             for name in capacities:
                 if self.pool.is_network(name):
                     capacities[name] *= efficiency
-        templates = self.shared.templates
+        specs = self.shared.universe.specs
         rates, bindings = max_min_fair_allocation(
-            [templates[t].spec.demands for t in self.live_tid.tolist()],
+            [specs[t].demands for t in self.live_tid.tolist()],
             capacities,
         )
         return self._finish_state(
@@ -663,25 +695,19 @@ class _Lane:
     def _cpu_rates(self, rates) -> list[float]:
         """Per-node CPU demand, accumulated in the scalar engine's order
         (flow-major, demand-insertion order within each flow)."""
-        idx = self.entry_idx
-        if idx.size == 0:
-            return [0.0] * self.n_nodes
-        shared = self.shared
-        mask = shared.is_cpu[idx]
-        cpu_idx = idx[mask]
-        if cpu_idx.size == 0:
-            return [0.0] * self.n_nodes
-        rate_rep = np.repeat(np.asarray(rates), self.entry_counts)
-        weights = shared.coef[cpu_idx] * rate_rep[mask]
+        universe = self.shared.universe
+        counts, row = _ragged(universe.cpu_offset, universe.cpu_count, self.live_tid)
         return np.bincount(
-            shared.res[cpu_idx] >> 2, weights=weights, minlength=self.n_nodes
+            universe.cpu_node[row],
+            weights=universe.cpu_coef[row] * np.repeat(np.asarray(rates), counts),
+            minlength=self.n_nodes,
         ).tolist()
 
     # ------------------------------------------------------------ transitions
     def after_step(self, dt, pre_t, now_t, done_row) -> None:
         """The scalar loop's tail: record the interval, retire finished
         flows, release phase barriers."""
-        templates = self.shared.templates
+        universe = self.shared.universe
         if self.record and dt > 0:
             state = self.state
             tids = self.live_tid.tolist()
@@ -691,7 +717,7 @@ class _Lane:
                     end_s=float(pre_t + dt),
                     node_utilization=tuple(state.utils),
                     node_power_w=tuple(state.powers.tolist()),
-                    flow_names=tuple(templates[t].spec.name for t in tids),
+                    flow_names=tuple(universe.specs[t].name for t in tids),
                     flow_bindings=tuple(state.bindings),
                     flow_jobs=tuple(
                         self.jobs[j].name for j in self.live_job.tolist()
@@ -703,11 +729,9 @@ class _Lane:
             return
         keep = ~done_k
         finished_jobs = self.live_job[done_k].tolist()
-        self.n_net -= int(self.shared.has_net[self.live_tid[done_k]].sum())
+        self.n_net -= int(universe.has_net[self.live_tid[done_k]].sum())
         self.live_tid = self.live_tid[keep]
         self.live_job = self.live_job[keep]
-        self.entry_idx = self.entry_idx[np.repeat(keep, self.entry_counts)]
-        self.entry_counts = self.entry_counts[keep]
         self.keep = keep
         self.dirty = True
         for index in finished_jobs:
@@ -737,8 +761,9 @@ class _Lane:
         floor_m[row] = -np.inf
         floor_m[row, :survivors] = old_floor
         if n_new:
-            rem_m[row, survivors:k] = self.shared.volume[self.appended]
-            floor_m[row, survivors:k] = self.shared.floor[self.appended]
+            universe = self.shared.universe
+            rem_m[row, survivors:k] = universe.volume[self.appended]
+            floor_m[row, survivors:k] = universe.floor[self.appended]
         rate_m[row] = 0.0
         rate_m[row, :k] = self.state.rates
         power_m[row, : self.n_nodes] = self.state.powers
@@ -765,15 +790,22 @@ def run_multiplexed(
     faults=None,
     failure_policy=None,
     layouts: Sequence | None = None,
-) -> list[SimulationResult]:
+) -> list[SimulationResult | SimulationError]:
     """Advance every (simulator, jobs) run on one multiplexed event loop.
 
     Returns one :class:`SimulationResult` per run, in order, each
     bit-identical to ``simulator.run(jobs, max_events=max_events)`` run
-    serially (see the module docstring for why).  Raises
-    :class:`~repro.errors.SimulationError` as soon as *any* lane would —
-    callers needing per-run error isolation should fall back to serial
-    replay of the offending runs.
+    serially (see the module docstring for why).
+
+    Errors are isolated per run.  An interval-free run that would raise
+    :class:`~repro.errors.SimulationError` once its loop is under way
+    (replica coverage lost, every job dropped, a stall, ``max_events``
+    exceeded) leaves the loop alone: its slot in the returned list holds
+    that exception, with the serial run's message, and its batchmates
+    finish.  Errors in the inputs still raise before any run starts:
+    :class:`~repro.errors.ConfigurationError`, and the
+    :class:`~repro.errors.SimulationError` of a run with no jobs or an
+    unknown resource.  A recording run raises its error too.
 
     Interval-free runs take the flat-array fast path; runs whose
     simulator records intervals take a per-lane loop (the scalar
@@ -814,7 +846,7 @@ def run_multiplexed(
         raise ConfigurationError(
             f"layouts must be one per run: {len(layouts)} for {len(runs)} runs"
         )
-    template_cache: dict = {}
+    universe = _Universe()
     indexes: dict[tuple[int, int], _JobIndex] = {}
     flat: list[tuple[int, _Lane]] = []
     recorded: list[tuple[int, _Lane]] = []
@@ -822,7 +854,7 @@ def run_multiplexed(
         key = (id(jobs), sim.pool.num_nodes)
         shared = indexes.get(key)
         if shared is None:
-            shared = indexes[key] = _JobIndex(jobs, template_cache)
+            shared = indexes[key] = _JobIndex(jobs, universe)
         group = recorded if sim.record_intervals else flat
         lane = _Lane(len(group), sim, shared)
         if faulted:
@@ -832,10 +864,11 @@ def run_multiplexed(
                 None if layouts is None else layouts[position],
             )
         group.append((position, lane))
-    results: list[SimulationResult | None] = [None] * len(runs)
+    results: list[SimulationResult | SimulationError | None] = [None] * len(runs)
     if flat:
         for (position, _), result in zip(
-            flat, _run_flat([lane for _, lane in flat], max_events, carbon_curve)
+            flat,
+            _run_flat([lane for _, lane in flat], max_events, carbon_curve, universe),
         ):
             results[position] = result
     if recorded:
@@ -854,16 +887,20 @@ def _run_flat(
     lanes: list[_Lane],
     max_events: int,
     carbon_curve: CarbonIntensityCurve | None,
-) -> list[SimulationResult]:
+    universe: _Universe,
+) -> list[SimulationResult | SimulationError]:
     """Flat-array event loop for interval-free lanes.
 
-    All per-flow and per-demand-entry state is global (lane-contiguous,
-    scalar live-list order within each lane); every iteration performs a
-    fixed number of whole-array operations plus scalar work proportional
-    to the handful of lanes admitting jobs, retiring flows or firing
-    faults.  A ``carbon_curve`` adds the per-lane carbon totals of the
-    module docstring's *Carbon accumulation*; lanes carrying a state
-    machine follow its *Fault source*.
+    The loop keeps five per-flow arrays (lane-contiguous, scalar
+    live-list order within each lane) and gathers everything entry-sized
+    from ``universe`` right before use; every iteration performs a fixed
+    number of whole-array operations plus scalar work proportional to the
+    handful of lanes admitting jobs, retiring flows or firing faults.  A
+    ``carbon_curve`` adds the per-lane carbon totals of the module
+    docstring's *Carbon accumulation*; lanes carrying a state machine
+    follow its *Fault source*.  A lane that raises
+    :class:`~repro.errors.SimulationError` leaves the loop, and its slot
+    in the returned list holds the error.
     """
     n_lanes = len(lanes)
     n_nodes_arr = np.array([lane.n_nodes for lane in lanes], dtype=np.int64)
@@ -874,8 +911,8 @@ def _run_flat(
     )
     res_off = _offsets(res_counts)
     lane_of_res = np.repeat(np.arange(n_lanes), res_counts)
-    #: global resource id = lane block offset + node*4 + kind; node id
-    #: recovery via ``>> 2`` needs every block offset to be a node multiple
+    #: global resource id = lane block offset + node*4 + kind; global node
+    #: id = lane node offset + node
     caps = np.concatenate([lane.base_caps for lane in lanes])
     sat = _EPSILON * np.maximum(1.0, caps)
 
@@ -1010,52 +1047,53 @@ def _run_flat(
         power_dirty = True
         update_caps(l)
 
-    # global flow/entry state (lane-contiguous, scalar live-list order)
+    # Per-flow state, lane-contiguous and in the serial loop's live order
+    # within each lane: lane, job, template id, remaining MB, completion
+    # floor.  Everything entry-sized is gathered from the universe.
     f_lane = _EMPTY_I64
     f_job = _EMPTY_I64
-    f_net = _EMPTY_BOOL
+    f_tid = _EMPTY_I64
     f_rem = _EMPTY_F64
     f_floor = _EMPTY_F64
-    f_ecount = _EMPTY_I64
-    e_res = _EMPTY_I64
-    e_coef = _EMPTY_F64
-    e_iscpu = _EMPTY_BOOL
 
     time_arr = np.zeros(n_lanes)
     events = np.zeros(n_lanes, dtype=np.int64)
     flow_count = np.zeros(n_lanes, dtype=np.int64)
-    entry_total = np.zeros(n_lanes, dtype=np.int64)
     horizon = np.full(n_lanes, np.inf)
     has_pend = np.zeros(n_lanes, dtype=bool)
     active = np.ones(n_lanes, dtype=bool)
     attention = np.ones(n_lanes, dtype=bool)
     lane_ids = np.arange(n_lanes)
+    #: the error each lane's serial run raises, once the lane has raised it
+    errors: list[SimulationError | None] = [None] * n_lanes
+    #: lanes that raised while their flows are still in the arrays
+    failed: list[int] = []
+
+    def fail(l: int, error: SimulationError) -> None:
+        """Take lane ``l`` out of the loop with ``error``: its pending
+        admissions are dropped now, its flows leave through the next
+        :func:`retain`."""
+        errors[l] = error
+        failed.append(l)
+        active[l] = False
+        has_pend[l] = False
+        down_lanes.discard(l)
 
     def retain(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keep the flows where ``keep`` is set, in order; return the
-        (lane, job) of every flow that left.  Finished flows retire and
-        crash victims die through here."""
-        nonlocal f_lane, f_job, f_net, f_rem, f_floor, f_ecount
-        nonlocal e_res, e_coef, e_iscpu, flow_count, entry_total
+        (lane, job) of every flow that left.  Finished flows retire, and
+        crash victims and failed lanes' flows leave, through here."""
+        nonlocal f_lane, f_job, f_tid, f_rem, f_floor, flow_count
         gone = ~keep
         gone_lane = f_lane[gone]
         gone_job = f_job[gone]
-        net_dec = np.bincount(f_lane[gone & f_net], minlength=n_lanes)
-        entry_total = entry_total - np.bincount(
-            gone_lane, weights=f_ecount[gone].astype(np.float64),
-            minlength=n_lanes,
-        ).astype(np.int64)
+        net_dec = np.bincount(f_lane[gone & universe.has_net[f_tid]], minlength=n_lanes)
         flow_count = flow_count - np.bincount(gone_lane, minlength=n_lanes)
-        ekeep = np.repeat(keep, f_ecount)
         f_lane = f_lane[keep]
         f_job = f_job[keep]
-        f_net = f_net[keep]
+        f_tid = f_tid[keep]
         f_rem = f_rem[keep]
         f_floor = f_floor[keep]
-        f_ecount = f_ecount[keep]
-        e_res = e_res[ekeep]
-        e_coef = e_coef[ekeep]
-        e_iscpu = e_iscpu[ekeep]
         if net_dec.any():
             for l in np.nonzero(net_dec)[0].tolist():
                 nnet[l] -= int(net_dec[l])
@@ -1063,78 +1101,90 @@ def _run_flat(
         return gone_lane, gone_job
 
     def merge_pending() -> None:
-        """Phase B: splice buffered admissions into the global arrays, at
-        each lane's tail.  A function of its own so that its
-        entry-sized temporaries are freed on return; one field at a time
-        and through boolean masks, because entry-sized arrays are what
-        the loop's peak memory is made of."""
-        nonlocal f_lane, f_job, f_net, f_rem, f_floor, f_ecount
-        nonlocal e_res, e_coef, e_iscpu, flow_count, entry_total
+        """Phase B: splice every lane's buffered admissions in at its
+        tail, with a fixed number of array calls: the pending template
+        ids and jobs are joined in lane order in Python, then each
+        per-flow array is spliced once."""
+        nonlocal f_lane, f_job, f_tid, f_rem, f_floor, flow_count
         pending = np.nonzero(has_pend)[0].tolist()
-        tids: list[np.ndarray] = []
-        sels: list[np.ndarray] = []
-        add_flows = np.zeros(n_lanes, dtype=np.int64)
-        add_entries = np.zeros(n_lanes, dtype=np.int64)
+        tids: list[int] = []
+        jobs: list[int] = []
+        sizes: list[int] = []
         for l in pending:
             lane = lanes[l]
-            shared = lane.shared
-            shared.ensure_universe()
-            tids.append(np.array(lane.pend_tids, dtype=np.int64))
-            sels.append(
-                np.concatenate([shared.entry_ranges[t] for t in lane.pend_tids])
-            )
-            add_flows[l] = tids[-1].size
-            add_entries[l] = sels[-1].size
+            tids += lane.pend_tids
+            jobs += lane.pend_jobs
+            sizes.append(len(lane.pend_tids))
+            lane.pend_tids = []
+            lane.pend_jobs = []
             if lane.n_net:
                 nnet[l] += lane.n_net
                 lane.n_net = 0
                 update_caps(l)
+        has_pend[:] = False
+        added = np.zeros(n_lanes, dtype=np.int64)
+        added[pending] = sizes
         # A lane's admissions land at its tail: new positions are, lane
         # by lane, its old count of False then its admissions' True, and
         # boolean assignment fills both in order.
-        new_flow = np.repeat(
+        new_at = np.repeat(
             np.tile([False, True], n_lanes),
-            np.column_stack([flow_count, add_flows]).ravel(),
+            np.column_stack([flow_count, added]).ravel(),
         )
-        new_entry = np.repeat(
-            np.tile([False, True], n_lanes),
-            np.column_stack([entry_total, add_entries]).ravel(),
-        )
-        flow_count += add_flows
-        entry_total += add_entries
+        old_at = ~new_at
+        flow_count = flow_count + added
+        new_tid = np.array(tids, dtype=np.int64)
+        universe.ensure()
 
-        def splice(old, new_at, pieces, dtype):
+        def splice(old, new, dtype):
             out = np.empty(new_at.shape[0], dtype=dtype)
-            out[~new_at] = old
-            out[new_at] = np.concatenate(pieces)
+            out[old_at] = old
+            out[new_at] = new
             return out
 
         f_lane = np.repeat(lane_ids, flow_count)
-        f_job = splice(
-            f_job,
-            new_flow,
-            [np.array(lanes[l].pend_jobs, dtype=np.int64) for l in pending],
-            np.int64,
+        f_job = splice(f_job, jobs, np.int64)
+        f_tid = splice(f_tid, new_tid, np.int64)
+        f_rem = splice(f_rem, universe.volume[new_tid], np.float64)
+        f_floor = splice(f_floor, universe.floor[new_tid], np.float64)
+
+    def allocate(n_flows: int) -> np.ndarray:
+        """Phase C: max-min fair rates for every live flow of every lane,
+        from demand entries gathered here (flow-major, each template's
+        rows in demand-insertion order), so none outlives the call."""
+        counts, row = _ragged(universe.offset, universe.count, f_tid)
+        entries = [
+            np.repeat(np.arange(n_flows), counts), universe.res[row], universe.coef[row]
+        ]
+        del row
+        entries[1] += np.repeat(res_off[f_lane], counts)
+        # Popped into the call, so the allocator holds the only references
+        # and frees each array when it first compacts it: entry-sized
+        # arrays are what the loop's peak memory is made of.
+        return max_min_fair_rates_flat(
+            entries.pop(0),
+            entries.pop(0),
+            entries.pop(0),
+            f_lane,
+            lane_of_res,
+            res_off,
+            caps,
+            sat,
+            n_flows,
+            n_lanes,
         )
-        shareds = [lanes[l].shared for l in pending]
-        f_net = splice(f_net, new_flow, [s.has_net[t] for s, t in zip(shareds, tids)], bool)
-        f_rem = splice(f_rem, new_flow, [s.volume[t] for s, t in zip(shareds, tids)], np.float64)
-        f_floor = splice(f_floor, new_flow, [s.floor[t] for s, t in zip(shareds, tids)], np.float64)
-        f_ecount = splice(
-            f_ecount, new_flow, [s.entry_counts[t] for s, t in zip(shareds, tids)], np.int64
+
+    def cpu_rates(rates: np.ndarray) -> np.ndarray:
+        """Phase D's per-node CPU rates: each live flow's CPU rows times
+        its rate, accumulated in live-flow order."""
+        counts, row = _ragged(universe.cpu_offset, universe.cpu_count, f_tid)
+        node = universe.cpu_node[row]
+        node += np.repeat(node_off[f_lane], counts)
+        return np.bincount(
+            node,
+            weights=universe.cpu_coef[row] * np.repeat(rates, counts),
+            minlength=total_nodes,
         )
-        e_res = splice(
-            e_res,
-            new_entry,
-            [s.res[sel] + res_off[l] for s, sel, l in zip(shareds, sels, pending)],
-            np.int64,
-        )
-        e_coef = splice(e_coef, new_entry, [s.coef[sel] for s, sel in zip(shareds, sels)], np.float64)
-        e_iscpu = splice(e_iscpu, new_entry, [s.is_cpu[sel] for s, sel in zip(shareds, sels)], bool)
-        for l in pending:
-            lanes[l].pend_tids = []
-            lanes[l].pend_jobs = []
-        has_pend[:] = False
 
     # Telemetry accumulates in locals (two int adds per global iteration,
     # nothing per flow) and flushes once after the loop.
@@ -1155,9 +1205,13 @@ def _run_flat(
                 if flow_bounds is None:
                     flow_bounds = _offsets(flow_count)
                 lane.flow_jobs = f_job[flow_bounds[l] : flow_bounds[l + 1]]
-            t, ev, alive = lane.advance_flat(
-                float(time_arr[l]), int(events[l]), max_events, idle_gaps
-            )
+            try:
+                t, ev, alive = lane.advance_flat(
+                    float(time_arr[l]), int(events[l]), max_events, idle_gaps
+                )
+            except SimulationError as error:
+                fail(l, error)
+                continue
             time_arr[l] = t
             events[l] = ev
             has_pend[l] = bool(lane.pend_tids)
@@ -1186,16 +1240,17 @@ def _run_flat(
                 / JOULES_PER_KWH,
             )
             idle_gaps.clear()
-        if killers:
-            keep = np.ones(f_rem.shape[0], dtype=bool)
+        if killers or failed:
+            keep = ~np.isin(f_lane, failed)
             for l in killers:
                 keep[flow_bounds[l] : flow_bounds[l + 1]] = ~lanes[l].killed
                 lanes[l].killed = None
+            failed.clear()
             retain(keep)
         if not active.any():
             break
 
-        # -- phase B: merge buffered admissions into the global arrays
+        # -- phase B: merge buffered admissions into the per-flow arrays
         if has_pend.any():
             merge_pending()
 
@@ -1205,41 +1260,28 @@ def _run_flat(
         bump[sl] = True
         bump &= ~attention
         events[bump] += 1
-        if (events[sl] > max_events).any():
-            raise SimulationError(
-                f"exceeded {max_events} events; simulation stalled?"
-            )
         attention[:] = False
+        over = events[sl] > max_events
+        if over.any():
+            for l in sl[over].tolist():
+                fail(l, SimulationError(
+                    f"exceeded {max_events} events; simulation stalled?"
+                ))
+            retain(~np.isin(f_lane, failed))
+            failed.clear()
+            sl = np.nonzero(flow_count)[0]
+            if not sl.size:
+                attention = active.copy()
+                continue
 
         # -- phase C: one max-min fair allocation across every lane
         n_flows = f_rem.shape[0]
         iterations += 1
         flow_steps += n_flows
-        # The entry-to-flow map is built inline, so the allocator holds
-        # the only reference and frees it once it compacts: entry-sized
-        # arrays are what the loop's peak memory is made of.  Phase D
-        # finds its CPU entries' flows without one.
-        cpu_entry = np.flatnonzero(e_iscpu)
-        cpu_flow = np.searchsorted(np.cumsum(f_ecount), cpu_entry, side="right")
-        rates = max_min_fair_rates_flat(
-            np.repeat(np.arange(n_flows, dtype=np.int64), f_ecount),
-            e_res,
-            e_coef,
-            f_lane,
-            lane_of_res,
-            res_off,
-            caps,
-            sat,
-            n_flows,
-            n_lanes,
-        )
+        rates = allocate(n_flows)
 
         # -- phase D: per-node CPU rates -> utilization -> watts
-        node_cpu = np.bincount(
-            e_res[cpu_entry] >> 2,
-            weights=e_coef[cpu_entry] * rates[cpu_flow],
-            minlength=total_nodes,
-        )
+        node_cpu = cpu_rates(rates)
         cpu_changed = node_cpu != node_cpu_prev
         if cpu_changed.any():
             util = np.clip(node_base + node_cpu / node_bw, MIN_UTILIZATION, 1.0)
@@ -1265,18 +1307,22 @@ def _run_flat(
                 lane_power = cluster_power(node_power)
             power_dirty = False
 
-        # -- phase E: advance every lane to its own next event
+        # -- phase E: advance every lane to its own next event; a lane
+        # that stalls fails and steps by zero
         flow_off = _offsets(flow_count)
         ratio = np.divide(
             f_rem, rates, out=np.full(n_flows, np.inf), where=rates > 0
         )
         dt = np.minimum.reduceat(ratio, flow_off[sl])
         dt = np.minimum(dt, horizon[sl] - time_arr[sl])
-        if (~np.isfinite(dt) | (dt < 0)).any():
-            raise SimulationError(
-                "simulation stalled: live flows have zero rate and no "
-                "pending events"
-            )
+        stalled = ~np.isfinite(dt) | (dt < 0)
+        if stalled.any():
+            for l in sl[stalled].tolist():
+                fail(l, SimulationError(
+                    "simulation stalled: live flows have zero rate and no "
+                    "pending events"
+                ))
+            dt[stalled] = 0.0
         step_start = time_arr[sl]
         step_end = step_start + dt
         time_arr[sl] = step_end
@@ -1301,6 +1347,9 @@ def _run_flat(
                 lanes[l].nodes.charge_down(float(dt[k]))
         f_rem = f_rem - rates * np.repeat(dt, flow_count[sl])
         done = f_rem <= f_floor
+        if failed:
+            done |= np.isin(f_lane, failed)
+            failed.clear()
 
         # -- phase F: retirement and phase barriers (scalar tail)
         if done.any():
@@ -1313,6 +1362,8 @@ def _run_flat(
                     by_lane[l] = jobs_done = set()
                 jobs_done.add(j)
             for l, jobs_done in by_lane.items():
+                if errors[l] is not None:
+                    continue
                 lane = lanes[l]
                 t = float(time_arr[l])
                 for j in sorted(jobs_done):
@@ -1329,15 +1380,20 @@ def _run_flat(
             | (horizon <= time_arr + _COMPLETION_EPS)
         )
 
-    faulted = [lane.nodes for lane in lanes if lane.nodes is not None]
-    for lane in lanes:
-        if lane.nodes is not None:
-            lane.nodes.require_survivor(lane.job_completion)
+    for l, lane in enumerate(lanes):
+        if lane.nodes is not None and errors[l] is None:
+            try:
+                lane.nodes.require_survivor(lane.job_completion)
+            except SimulationError as error:
+                errors[l] = error
+    finished = [l for l in range(n_lanes) if errors[l] is None]
     telemetry = get_telemetry()
     if telemetry.enabled:
+        # like the serial loop, a run that raises reports nothing
         telemetry.count("sim.multiplex.iterations", iterations)
         telemetry.count("sim.multiplex.flow_steps", flow_steps)
-        telemetry.count("sim.events", int(events.sum()))
+        telemetry.count("sim.events", int(events[finished].sum()))
+        faulted = [lanes[l].nodes for l in finished if lanes[l].nodes is not None]
         if faulted:
             telemetry.count("sim.faults.onsets", sum(n.survived for n in faulted))
             telemetry.count("sim.faults.retried_jobs", sum(n.retried for n in faulted))
@@ -1345,7 +1401,9 @@ def _run_flat(
                 "sim.faults.dropped_jobs", sum(len(n.dropped) for n in faulted)
             )
     return [
-        _flat_result(
+        errors[l]
+        if errors[l] is not None
+        else _flat_result(
             lane,
             time_arr[l],
             node_energy[node_off[l] : node_off[l + 1]],

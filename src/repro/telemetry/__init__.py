@@ -28,10 +28,12 @@ What gets recorded (when enabled):
   (joins and timed candidates evaluated in batches), and the route each
   candidate of a ``SimulatorEvaluator`` timed batch took, added once per
   batch: ``evaluator.route.multiplexed`` (records from the multiplexed
-  loop, time-of-day carbon and fault schedules included),
+  loop, time-of-day carbon and fault schedules included, and so are the
+  infeasible records of lanes that failed inside it),
   ``evaluator.route.serial.policy`` (a dynamic control policy) and
-  ``evaluator.route.fallback.error`` (the loop raised, so the batch
-  replayed serially; also counted as ``evaluator.multiplex_fallbacks``);
+  ``evaluator.route.fallback.error`` (the loop raised an error no single
+  lane owns, so the batch replayed serially; also counted as
+  ``evaluator.multiplex_fallbacks``);
 * the simulators — ``sim.runs`` (one per serial run, whatever its event
   sources) / ``sim.events`` / ``sim.allocations`` (the max-min
   allocations the serial loop computed: misses of its per-run memo, so

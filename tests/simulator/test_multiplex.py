@@ -12,6 +12,7 @@ the same holds for every degraded field: crashes with and without
 recovery, stragglers, network degrades, retries with jitter, and drops.
 """
 
+import copy
 import dataclasses
 import json
 import random
@@ -106,10 +107,36 @@ def oracle_run(cluster, jobs, record):
     ).run(jobs)
 
 
+def with_twins(lanes, twins):
+    """``lanes`` plus one twin per ``(lane, extra nodes)`` in ``twins``: a
+    deep copy of the lane's jobs, whose flows equal the original's by
+    value but are distinct objects, replayed on a cluster with more
+    wimpy nodes."""
+    return lanes + [
+        (
+            ClusterSpec.beefy_wimpy(
+                BEEFY, lanes[i][0].num_beefy, WIMPY, lanes[i][0].num_wimpy + extra
+            ),
+            copy.deepcopy(lanes[i][1]),
+        )
+        for i, extra in twins
+    ]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(lane_jobs(), min_size=1, max_size=4), st.booleans())
-def test_multiplexed_matches_serial(lanes, record):
-    """A whole batch reproduces each lane's solo serial run bit for bit."""
+@given(st.lists(lane_jobs(), min_size=1, max_size=4), st.data())
+def test_multiplexed_matches_serial(lanes, data):
+    """A whole batch reproduces each lane's solo serial run bit for bit,
+    with recording and interval-free lanes mixed in one call, and with
+    twins: lanes of other job lists and node counts whose flows share
+    the batch-global template ids of their originals'."""
+    lanes = with_twins(
+        lanes,
+        data.draw(
+            st.lists(st.tuples(st.integers(0, len(lanes) - 1), st.integers(1, 2)), max_size=2)
+        ),
+    )
+    records = data.draw(st.lists(st.booleans(), min_size=len(lanes), max_size=len(lanes)))
     runs = [
         (
             ClusterSimulator(
@@ -117,11 +144,11 @@ def test_multiplexed_matches_serial(lanes, record):
             ),
             jobs,
         )
-        for cluster, jobs in lanes
+        for (cluster, jobs), record in zip(lanes, records)
     ]
     results = run_multiplexed(runs)
     assert len(results) == len(lanes)
-    for (cluster, jobs), got in zip(lanes, results):
+    for (cluster, jobs), record, got in zip(lanes, records, results):
         assert_identical(got, oracle_run(cluster, jobs, record))
 
 
@@ -338,10 +365,19 @@ def serial_outcome(sim, jobs, **options):
 
 
 def multiplexed_outcome(runs, **options):
-    try:
-        return run_multiplexed(runs, **options)
-    except SimulationError as error:
-        return str(error)
+    """Every lane's result, or the message of the error in its slot."""
+    return [
+        str(result) if isinstance(result, SimulationError) else result
+        for result in run_multiplexed(runs, **options)
+    ]
+
+
+def assert_same_outcome(got, oracle):
+    """Equal messages for a lane that raised, equal runs for the rest."""
+    if isinstance(oracle, str):
+        assert got == oracle
+    else:
+        assert_same_run(got, oracle)
 
 
 def assert_same_run(got, oracle):
@@ -361,18 +397,15 @@ def flat_runs(lanes):
 @given(faulted_lanes, fault_schedules(), st.sampled_from(FAILURE_POLICIES))
 def test_faulted_batch_matches_serial(lanes, faults, failure_policy):
     """Lanes of different sizes share one schedule; each lane equals its
-    serial faulted run field by field, or the batch raises a lane's
-    serial message."""
+    serial faulted run field by field, and a lane whose serial run raises
+    holds that message in its slot while its batchmates finish."""
     runs = flat_runs(lanes)
     options = {"faults": faults, "failure_policy": failure_policy}
     oracles = [serial_outcome(sim, jobs, **options) for sim, jobs in runs]
     got = multiplexed_outcome(runs, **options)
-    errors = [oracle for oracle in oracles if isinstance(oracle, str)]
-    if errors:
-        assert got in errors
-        return
+    assert len(got) == len(oracles)
     for result, oracle in zip(got, oracles):
-        assert_same_run(result, oracle)
+        assert_same_outcome(result, oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,16 +432,16 @@ def test_faulted_carbon_matches_interval_pricing(lanes, faults, curve):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(faulted_lane(), min_size=2, max_size=4), fault_schedules())
 def test_faulted_batch_composition_independence(lanes, faults):
+    """Grouping faulted lanes differently changes no result and no error
+    slot's message."""
     options = {"faults": faults, "failure_policy": FAILURE_POLICIES[0]}
     together = multiplexed_outcome(flat_runs(lanes), **options)
-    if isinstance(together, str):
-        return
     split = len(lanes) // 2
-    apart = run_multiplexed(flat_runs(lanes[:split]), **options) + run_multiplexed(
-        flat_runs(lanes[split:]), **options
-    )
+    apart = multiplexed_outcome(
+        flat_runs(lanes[:split]), **options
+    ) + multiplexed_outcome(flat_runs(lanes[split:]), **options)
     for got, ref in zip(together, apart):
-        assert_same_run(got, ref)
+        assert_same_outcome(got, ref)
 
 
 def _scan_jobs(num_nodes, count, spacing):
@@ -427,28 +460,35 @@ def _scan_jobs(num_nodes, count, spacing):
 
 
 def test_coverage_loss_raises_the_serial_message():
-    """Replication factor 1 strands a partition on the first crash."""
+    """Replication factor 1 strands a partition on the first crash, be it
+    mid-job or before the first admission: the lane's slot holds the
+    serial run's error, and a batchmate whose layout survives the crash
+    finishes as if alone."""
     cluster = ClusterSpec.homogeneous(BEEFY, 3)
     jobs = _scan_jobs(3, 3, 1.0)
     layout = ReplicatedLayout(num_nodes=3, num_partitions=6, replication_factor=1)
-    faults = FaultSchedule(events=(NodeCrash(node=4, at_s=0.2, recover_at_s=1.0),))
-    sim = ClusterSimulator(cluster, record_intervals=False)
-    with pytest.raises(SimulationError, match="replica coverage lost") as serial:
-        sim.run(jobs, faults=faults, layout=layout)
-    with pytest.raises(SimulationError) as batch:
-        run_multiplexed([(sim, jobs)], faults=faults, layouts=[layout])
-    assert str(batch.value) == str(serial.value)
-    # a layout that survives the crash rides the loop like any other run
     safe = ReplicatedLayout(num_nodes=3, num_partitions=6, replication_factor=2)
-    assert_same_run(
-        run_multiplexed([(sim, jobs)], faults=faults, layouts=[safe])[0],
-        sim.run(jobs, faults=faults, layout=safe),
-    )
+    sim = ClusterSimulator(cluster, record_intervals=False)
+    for at_s in (0.2, 0.0):
+        faults = FaultSchedule(events=(NodeCrash(node=4, at_s=at_s, recover_at_s=1.0),))
+        with pytest.raises(SimulationError, match="replica coverage lost") as serial:
+            sim.run(jobs, faults=faults, layout=layout)
+        lost, survived = run_multiplexed(
+            [(sim, jobs), (sim, jobs)], faults=faults, layouts=[layout, safe]
+        )
+        assert type(lost) is SimulationError
+        assert str(lost) == str(serial.value)
+        assert_same_run(survived, sim.run(jobs, faults=faults, layout=safe))
+        # alone in its batch, too
+        assert str(run_multiplexed([(sim, jobs)], faults=faults, layouts=[layout])[0]) == str(
+            serial.value
+        )
 
 
 def test_every_job_dropped_raises_the_serial_message():
     """A fail-stop crash under the drop policy kills the only in-flight
-    job and strands every later one."""
+    job and strands every later one; a three-node batchmate whose jobs
+    never touch the crashed node finishes as if alone."""
     cluster = ClusterSpec.homogeneous(BEEFY, 2)
     jobs = _scan_jobs(2, 3, 0.5)
     faults = FaultSchedule(events=(NodeCrash(node=1, at_s=0.1),))
@@ -456,9 +496,99 @@ def test_every_job_dropped_raises_the_serial_message():
     options = {"faults": faults, "failure_policy": FailurePolicy.drop()}
     with pytest.raises(SimulationError, match="no job survived") as serial:
         sim.run(jobs, **options)
-    with pytest.raises(SimulationError) as batch:
-        run_multiplexed([(sim, jobs)], **options)
-    assert str(batch.value) == str(serial.value)
+    local = [
+        Job(name=f"q{i}", phases=(Phase("p", (FlowSpec("f", 50.0, {cpu(0): 1.0}),)),),
+            start_time_s=0.5 * i)
+        for i in range(3)
+    ]
+    mate = ClusterSimulator(ClusterSpec.homogeneous(WIMPY, 3), record_intervals=False)
+    dropped, finished = run_multiplexed([(sim, jobs), (mate, local)], **options)
+    assert type(dropped) is SimulationError
+    assert str(dropped) == str(serial.value)
+    assert_same_run(finished, mate.run(local, **options))
+
+
+def _burst_lanes():
+    """36 lanes of 1-4 nodes, three clusters by three job lists per node
+    count, every list arriving at the same instants: all 36 admit in the
+    same iterations."""
+    lanes = []
+    for n in (1, 2, 3, 4):
+        clusters = (
+            ClusterSpec.homogeneous(BEEFY, n),
+            ClusterSpec.homogeneous(WIMPY, n),
+            ClusterSpec.beefy_wimpy(BEEFY, 1, WIMPY, n - 1) if n > 1
+            else ClusterSpec.homogeneous(WIMPY, 1),
+        )
+        for variant in range(3):
+            jobs = []
+            for i, start in enumerate((0.0, 0.0, 1.0, 1.0, 2.5)):
+                flows = []
+                for node in range(n):
+                    demands = {cpu(node): 1.0, disk(node): 1.0}
+                    if n > 1 and variant == 2:
+                        demands[nic_out(node)] = 0.5
+                        demands[nic_in((node + 1) % n)] = 0.5
+                    flows.append(FlowSpec(f"f{node}", 40.0 * (variant + 1) + i, demands))
+                jobs.append(
+                    Job(name=f"q{i}", phases=(Phase("p", tuple(flows)),), start_time_s=start)
+                )
+            lanes += [(cluster, jobs) for cluster in clusters]
+    return lanes
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [None, FaultSchedule(events=(NodeCrash(node=1, at_s=0.3, recover_at_s=1.2),))],
+    ids=["healthy", "crash"],
+)
+def test_wide_same_instant_admissions_match_serial(faults):
+    """Dozens of lanes of mixed sizes and job lists merge their
+    admissions in one iteration; each lane equals its serial run."""
+    lanes = _burst_lanes()
+    assert len(lanes) >= 30
+    runs = flat_runs(lanes)
+    options = {} if faults is None else {
+        "faults": faults, "failure_policy": FAILURE_POLICIES[0]
+    }
+    oracles = [serial_outcome(sim, jobs, **options) for sim, jobs in runs]
+    for got, oracle in zip(multiplexed_outcome(runs, **options), oracles):
+        assert_same_outcome(got, oracle)
+
+
+def test_event_budget_fails_only_the_lane_that_exceeds_it():
+    """``max_events`` counts per lane, wherever the lane crosses it (in
+    its head or while stepping): the lane whose serial run exceeds it
+    holds that error, and its batchmate finishes as if alone."""
+    cluster = ClusterSpec.homogeneous(BEEFY, 2)
+    busy = _scan_jobs(2, 8, 0.05)
+    quiet = _scan_jobs(2, 1, 0.0)
+    for max_events in range(2, 20):
+        runs = flat_runs([(cluster, busy), (cluster, quiet)])
+        oracles = [
+            serial_outcome(sim, jobs, max_events=max_events) for sim, jobs in runs
+        ]
+        got = multiplexed_outcome(runs, max_events=max_events)
+        for result, oracle in zip(got, oracles):
+            assert_same_outcome(result, oracle)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_a_stalled_lane_fails_alone():
+    """A subnormal disk bandwidth gives live flows a rate whose step
+    overflows to infinity with nothing pending: the serial run stalls,
+    the lane's slot holds that error, and its batchmate finishes."""
+    stuck = ClusterSimulator(
+        ClusterSpec.homogeneous(dataclasses.replace(BEEFY, disk_bandwidth_mbps=1e-320), 2),
+        record_intervals=False,
+    )
+    healthy = ClusterSimulator(ClusterSpec.homogeneous(BEEFY, 2), record_intervals=False)
+    jobs = _scan_jobs(2, 2, 0.5)
+    with pytest.raises(SimulationError, match="simulation stalled") as serial:
+        stuck.run(jobs)
+    stalled, finished = multiplexed_outcome([(stuck, jobs), (healthy, jobs)])
+    assert stalled == str(serial.value)
+    assert_same_run(finished, healthy.run(jobs))
 
 
 def test_faults_need_interval_free_runs():
@@ -482,11 +612,10 @@ def test_serial_pins_replay_through_the_loop():
     for i in range(pins.SCENARIOS):
         cluster, switch, jobs, faults = pins.scenario(rng)
         sim = ClusterSimulator(cluster, switch=switch, record_intervals=False)
-        try:
-            pin = pins._pin(
-                run_multiplexed([(sim, jobs)], faults=faults, failure_policy=pins.RETRY)[0]
-            )
-        except SimulationError as error:
-            pin = {"error": str(error)}
+        result = run_multiplexed([(sim, jobs)], faults=faults, failure_policy=pins.RETRY)[0]
+        if isinstance(result, SimulationError):
+            pin = {"error": str(result)}
+        else:
+            pin = pins._pin(result)
         key = f"s{i}/faults/plain"
         assert json.loads(json.dumps(pin)) == fixture[key], key

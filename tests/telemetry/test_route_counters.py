@@ -2,10 +2,10 @@
 
 :meth:`SimulatorEvaluator.evaluate_trace_batch` counts every batch's
 candidates by route, once per batch: ``multiplexed`` (records came from
-the multiplexed loop), ``serial.policy`` (a dynamic control policy),
-``serial.faults`` (a non-empty fault schedule) and ``fallback.error``
-(the loop raised and the batch replayed serially).  Time-of-day carbon
-has no route of its own: it rides the loop.
+the multiplexed loop, a lane's error slot included), ``serial.policy``
+(a dynamic control policy) and ``fallback.error`` (the loop raised an
+error no single lane owns, and the batch replayed serially).  Faults and
+time-of-day carbon have no route of their own: they ride the loop.
 """
 
 import pytest
@@ -135,6 +135,35 @@ def test_fault_counters_match_serial_replay():
     assert batch["sim.faults.onsets"] == 12
     assert batch["sim.faults.retried_jobs"] > 0
     assert batch["sim.faults.dropped_jobs"] > 0
+
+
+def test_one_lane_losing_coverage_leaves_its_batchmates_on_the_loop():
+    """Crashes of nodes 1 and 5 under two-way replication: a 4-node
+    design loses node 1 twice and keeps coverage, while on a 5-node
+    design the crashes hit neighbours 0 and 1 and strand a partition.
+    Only those lanes fail, each into its serial infeasible record, and
+    every candidate stays on the loop."""
+    designs = DesignGrid(
+        node_pairs=((CLUSTER_V_NODE, WIMPY_LAPTOP_B),), cluster_sizes=(4, 5)
+    ).candidate_list()
+    faulted = trace().with_faults(
+        FaultSchedule(
+            events=(
+                NodeCrash(node=1, at_s=0.5, recover_at_s=2.0),
+                NodeCrash(node=5, at_s=0.5, recover_at_s=2.0),
+            )
+        ),
+        FailurePolicy.abort_and_retry(),
+        replication_factor=2,
+    )
+    evaluator = SimulatorEvaluator()
+    assert routes(evaluator, faulted, designs) == {"evaluator.route.multiplexed": 11}
+    records = evaluator.evaluate_trace_batch(faulted, designs)
+    assert records == [evaluate_timed_design(evaluator, d, faulted) for d in designs]
+    assert [r.feasible for r in records] == [d.num_nodes == 4 for d in designs]
+    assert all(
+        "replica coverage lost" in r.infeasible_reason for r in records if not r.feasible
+    )
 
 
 def test_loop_error_falls_back_per_batch(monkeypatch):

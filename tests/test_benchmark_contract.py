@@ -56,7 +56,12 @@ def test_golden_selections_run_on_a_toy_campaign(name):
         assert picks["sla_pick"] in labels
 
 
-@pytest.mark.parametrize("name", ["trace-faults", "trace-carbon"])
+#: candidates in each toy campaign: the 7 toy designs, times two
+#: policies for trace-policy
+TOY_CANDIDATES = {"trace-healthy": 7, "trace-policy": 14, "trace-faults": 7, "trace-carbon": 7}
+
+
+@pytest.mark.parametrize("name", list(TOY_CANDIDATES))
 def test_toy_campaign_passes_the_oracle_and_invariant_checks(name):
     """Every record equals its one-at-a-time serial replay, field by field
     as ``checks._oracle_view`` compares them, and breaks no invariant."""
@@ -64,7 +69,7 @@ def test_toy_campaign_passes_the_oracle_and_invariant_checks(name):
     with workload.engine(EvaluationCache()) as engine:
         results = campaigns.sweep(engine, workload.searches)
     for (candidates, target), result in zip(workload.searches, results):
-        assert len(result.points) == len(candidates) == 7
+        assert len(result.points) == len(candidates) == TOY_CANDIDATES[name]
         for candidate, point in zip(candidates, result.points):
             oracle = evaluate_timed_design(workload.evaluator, candidate, target)
             assert checks._oracle_view(point) == checks._oracle_view(oracle)
