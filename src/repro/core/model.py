@@ -50,6 +50,7 @@ CPU bandwidth (the paper's Section 5.3.1 validation setting).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import ModelError
 from repro.hardware.cluster import ClusterSpec
@@ -272,6 +273,104 @@ class Prediction:
         return self.energy_j * self.time_s
 
 
+#: The watts memo every model in the process shares: id(power model) ->
+#: (power model, its memoized ``power``).  Designs with the same node type
+#: and DVFS state share one power-model object (presets, and
+#: :func:`~repro.hardware.dvfs.dvfs_variant`'s shared specs), so a grid of
+#: thousands of designs meets a few dozen (model, utilization) pairs.  A
+#: power model is a pure function of its value (the shipped ones are
+#: frozen dataclasses), so a hit is the float a fresh call returns.  Each
+#: entry holds its model, so the model's id cannot be reused while the
+#: entry lives.  Bounded: a memo holding :data:`_WATTS_MODELS` models, or
+#: a table holding :data:`_WATTS_PER_MODEL` utilizations, starts over.
+_WATTS: dict[int, tuple[PowerModel, Callable[[float], float]]] = {}
+_WATTS_MODELS = 64
+_WATTS_PER_MODEL = 256
+
+
+def _memoized_power(power_model: PowerModel) -> Callable[[float], float]:
+    """``power_model.power`` answered through the shared watts memo.
+
+    A call that raises (a NaN utilization raises
+    :class:`~repro.errors.ConfigurationError`) stores nothing.
+    """
+    hit = _WATTS.get(id(power_model))
+    if hit is not None:
+        return hit[1]
+    table: dict[float, float] = {}
+
+    def power(utilization: float) -> float:
+        watts = table.get(utilization)
+        if watts is None:
+            watts = power_model.power(utilization)
+            if len(table) >= _WATTS_PER_MODEL:
+                table.clear()
+            table[utilization] = watts
+        return watts
+
+    if len(_WATTS) >= _WATTS_MODELS:
+        _WATTS.clear()
+    _WATTS[id(power_model)] = (power_model, power)
+    return power
+
+
+class _NodeType:
+    """One node type's design constants, derived once per model."""
+
+    __slots__ = (
+        "count",
+        "base_util",
+        "cpu_mbps",
+        "cpu_cost",
+        "nic_mbps",
+        "network_rate",
+        "scan_limit",
+        "scan_util",
+        "power",
+        "idle_w",
+    )
+
+    def __init__(
+        self,
+        count: int,
+        base_util: float,
+        cpu_mbps: float,
+        disk_mbps: float,
+        nic_mbps: float,
+        power_model: PowerModel,
+        cpu_cost: float,
+        warm_cache: bool,
+        network_rate: float,
+        reference_nic_mbps: float,
+    ):
+        self.count = count
+        self.base_util = base_util
+        self.cpu_mbps = cpu_mbps
+        self.cpu_cost = cpu_cost
+        #: the type's NIC bandwidth: the strict branch's threshold ``L``
+        self.nic_mbps = nic_mbps
+        #: the type's network-bound rate; the cluster's ``n*L/(n-1)`` when
+        #: the NICs are uniform
+        self.network_rate = network_rate * nic_mbps / reference_nic_mbps
+        # Cold scans are disk-bound unless the engine pipeline cannot keep up.
+        self.scan_limit = (
+            cpu_mbps / cpu_cost if warm_cache else min(disk_mbps, cpu_mbps / cpu_cost)
+        )
+        self.scan_util = self.utilization(self.scan_limit)
+        self.power = _memoized_power(power_model)
+        #: watts idling at the engine-base utilization (only a type with
+        #: nodes draws any)
+        self.idle_w = self.power(max(base_util, 0.01)) if count else 0.0
+
+    def utilization(self, prefilter_rate_mbps: float) -> float:
+        """``G + cost*U/C``, clamped to [0, 1]."""
+        return clamp(
+            self.base_util + self.cpu_cost * prefilter_rate_mbps / self.cpu_mbps,
+            0.0,
+            1.0,
+        )
+
+
 class PStoreModel:
     """Analytical performance/energy model (Section 5.3).
 
@@ -280,6 +379,19 @@ class PStoreModel:
     equations (``U`` equals the scan rate and utilization is ``G + U/C``);
     the Figure 7/8/9 experiments use the calibrated value so model and
     simulator describe the same engine.
+
+    Everything that depends on the design alone is derived once, at
+    construction: the node count; per node type, the network-bound rate
+    ``n*L/(n-1)`` scaled to its NIC, the scan limit of the cache regime,
+    the utilization while scan-bound and the idle watts; the scan
+    bottleneck's label, the Beefy ingest capacity and the smallest node's
+    memory.  Each keeps the expression and operation order of the
+    equations it feeds, so predictions are bit-identical to deriving it
+    per phase (``tests/core/model_pins.json`` pins them), and the settings
+    are read-only so the constants cannot go stale.  Power-model
+    calls go through a bounded watts memo shared by every model in the
+    process; a hit is the float a fresh call returns.  A model pickles as
+    its settings alone.
     """
 
     def __init__(
@@ -291,35 +403,97 @@ class PStoreModel:
     ):
         if pipeline_cpu_cost <= 0:
             raise ModelError(f"pipeline_cpu_cost must be > 0, got {pipeline_cpu_cost}")
-        self.params = params
-        self.warm_cache = warm_cache
-        self.pipeline_cpu_cost = pipeline_cpu_cost
-        #: use the paper's printed branch condition ``I*S < L`` verbatim.
-        #: The default compares against the effective network-bound rate
-        #: ``n*L/(n-1)`` instead, which matches the fluid simulator exactly;
-        #: the printed form declares small clusters network-bound slightly
-        #: too eagerly (visible only for n <= 7 at the Section 5.4
-        #: parameters).  Figure 12's homogeneous size sweeps use the strict
-        #: form, reproducing the paper's own curves.
-        self.strict_paper_conditions = strict_paper_conditions
+        self._params = params
+        self._warm_cache = warm_cache
+        self._pipeline_cpu_cost = pipeline_cpu_cost
+        self._strict_paper_conditions = strict_paper_conditions
 
-    # ------------------------------------------------------------------ public
-    def hash_table_fits_everywhere(self, query: JoinWorkloadSpec) -> bool:
-        """Table 3's ``H``: can the smallest node hold its hash-table share?"""
-        params = self.params
-        share = query.qualifying_build_mb / params.num_nodes
-        smallest = (
+        n = self._num_nodes = params.num_nodes
+        # settings every node type derives its constants with
+        shared = (
+            pipeline_cpu_cost,
+            warm_cache,
+            params.network_mbps if n == 1 else n * params.network_mbps / (n - 1),
+            params.network_mbps,
+        )
+        self._beefy = _NodeType(
+            params.num_beefy,
+            params.beefy_base_util,
+            params.beefy_cpu_mbps,
+            params.disk_mbps,
+            params.network_mbps,
+            params.beefy_power,
+            *shared,
+        )
+        self._wimpy = _NodeType(
+            params.num_wimpy,
+            params.wimpy_base_util,
+            params.wimpy_cpu_mbps,
+            params.effective_wimpy_disk_mbps,
+            params.effective_wimpy_network_mbps,
+            params.wimpy_power,
+            *shared,
+        )
+        self._scan_bottleneck = "cpu" if warm_cache else "disk"
+        # Beefy inbound NICs: each Beefy's share arrives (n-1)/n over the wire.
+        self._ingest_capacity = (
+            params.num_beefy * params.network_mbps * (n / (n - 1)) if n > 1 else float("inf")
+        )
+        self._smallest_memory_mb = (
             min(params.wimpy_memory_mb, params.beefy_memory_mb)
             if params.num_wimpy and params.num_beefy
             else (params.wimpy_memory_mb if params.num_wimpy else params.beefy_memory_mb)
         )
-        return smallest >= share
+
+    def __reduce__(self):
+        # The settings alone: derived constants and memo tables are rebuilt.
+        return (
+            type(self),
+            (
+                self._params,
+                self._warm_cache,
+                self._pipeline_cpu_cost,
+                self._strict_paper_conditions,
+            ),
+        )
+
+    # -------------------------------------------------------------- settings
+    @property
+    def params(self) -> ModelParameters:
+        return self._params
+
+    @property
+    def warm_cache(self) -> bool:
+        return self._warm_cache
+
+    @property
+    def pipeline_cpu_cost(self) -> float:
+        return self._pipeline_cpu_cost
+
+    @property
+    def strict_paper_conditions(self) -> bool:
+        """Use the paper's printed branch condition ``I*S < L`` verbatim.
+
+        The default compares against the effective network-bound rate
+        ``n*L/(n-1)`` instead, which matches the fluid simulator exactly;
+        the printed form declares small clusters network-bound slightly
+        too eagerly (visible only for n <= 7 at the Section 5.4
+        parameters).  Figure 12's homogeneous size sweeps use the strict
+        form, reproducing the paper's own curves.
+        """
+        return self._strict_paper_conditions
+
+    # ------------------------------------------------------------------ public
+    def hash_table_fits_everywhere(self, query: JoinWorkloadSpec) -> bool:
+        """Table 3's ``H``: can the smallest node hold its hash-table share?"""
+        share = query.qualifying_build_mb / self._num_nodes
+        return self._smallest_memory_mb >= share
 
     def resolve_mode(
         self, query: JoinWorkloadSpec, mode: ExecutionMode | None = None
     ) -> ExecutionMode:
         """Pick (or validate) the execution mode for a query."""
-        params = self.params
+        params = self._params
         if mode is ExecutionMode.HOMOGENEOUS or (
             mode is None and self.hash_table_fits_everywhere(query)
         ):
@@ -355,20 +529,13 @@ class PStoreModel:
         ``None`` applies the ``H`` rule.
         """
         resolved = self.resolve_mode(query, mode)
-        if resolved is ExecutionMode.HOMOGENEOUS:
-            build = self._homogeneous_phase(
-                "build", query.build_volume_mb, query.build_selectivity
-            )
-            probe = self._homogeneous_phase(
-                "probe", query.probe_volume_mb, query.probe_selectivity
-            )
-        else:
-            build = self._heterogeneous_phase(
-                "build", query.build_volume_mb, query.build_selectivity
-            )
-            probe = self._heterogeneous_phase(
-                "probe", query.probe_volume_mb, query.probe_selectivity
-            )
+        phase = (
+            self._homogeneous_phase
+            if resolved is ExecutionMode.HOMOGENEOUS
+            else self._heterogeneous_phase
+        )
+        build = phase("build", query.build_volume_mb, query.build_selectivity)
+        probe = phase("probe", query.probe_volume_mb, query.probe_selectivity)
         return Prediction(query=query, mode=resolved, build=build, probe=probe)
 
     def predict_broadcast(self, query: JoinWorkloadSpec) -> Prediction:
@@ -383,19 +550,15 @@ class PStoreModel:
         Requires homogeneous feasibility: each node holds the full
         qualifying build table.
         """
-        params = self.params
-        n = params.num_nodes
-        smallest_memory = (
-            min(params.wimpy_memory_mb, params.beefy_memory_mb)
-            if params.num_wimpy and params.num_beefy
-            else (params.wimpy_memory_mb if params.num_wimpy else params.beefy_memory_mb)
-        )
-        if query.qualifying_build_mb > smallest_memory:
+        params = self._params
+        n = self._num_nodes
+        beefy, wimpy = self._beefy, self._wimpy
+        if query.qualifying_build_mb > self._smallest_memory_mb:
             raise ModelError(
                 f"{query.name}: broadcast needs {query.qualifying_build_mb:.0f} MB "
-                f"on every node; smallest node has {smallest_memory:.0f} MB"
+                f"on every node; smallest node has {self._smallest_memory_mb:.0f} MB"
             )
-        scan_b, scan_w = self._scan_limits()
+        scan_b, scan_w = beefy.scan_limit, wimpy.scan_limit
 
         # Build: per-node ingest of (N-1)/N of the qualifying table over L,
         # or the sources' filtered supply if that is slower.
@@ -405,13 +568,13 @@ class PStoreModel:
         else:
             ingest_time = 0.0
         per_node = query.build_volume_mb / n
-        supply_time_b = per_node / scan_b if params.num_beefy else 0.0
-        supply_time_w = per_node / scan_w if params.num_wimpy else 0.0
+        supply_time_b = per_node / scan_b if beefy.count else 0.0
+        supply_time_w = per_node / scan_w if wimpy.count else 0.0
         build_time = max(ingest_time, supply_time_b, supply_time_w)
-        build_util_b = self._beefy_utilization(
+        build_util_b = beefy.utilization(
             min(scan_b, per_node / build_time if build_time else scan_b)
         )
-        build_util_w = self._wimpy_utilization(
+        build_util_w = wimpy.utilization(
             min(scan_w, per_node / build_time if build_time else scan_w)
         )
         build = PhasePrediction(
@@ -419,129 +582,94 @@ class PStoreModel:
             time_s=build_time,
             energy_j=self._energy_with_idle_tails(
                 build_time,
-                build_time if params.num_beefy else 0.0,
-                build_time if params.num_wimpy else 0.0,
+                build_time if beefy.count else 0.0,
+                build_time if wimpy.count else 0.0,
                 build_util_b,
                 build_util_w,
             ),
-            beefy_utilization=build_util_b if params.num_beefy else 0.0,
-            wimpy_utilization=build_util_w if params.num_wimpy else 0.0,
-            bottleneck="ingest" if build_time == ingest_time else (
-                "cpu" if self.warm_cache else "disk"
-            ),
+            beefy_utilization=build_util_b if beefy.count else 0.0,
+            wimpy_utilization=build_util_w if wimpy.count else 0.0,
+            bottleneck="ingest" if build_time == ingest_time else self._scan_bottleneck,
         )
 
         # Probe: local scan of each node's partition, barrier on the slower
         # type; no network at all.
         probe_per_node = query.probe_volume_mb / n
-        time_b = probe_per_node / scan_b if params.num_beefy else 0.0
-        time_w = probe_per_node / scan_w if params.num_wimpy else 0.0
+        time_b = probe_per_node / scan_b if beefy.count else 0.0
+        time_w = probe_per_node / scan_w if wimpy.count else 0.0
         probe_time = max(time_b, time_w)
         probe = PhasePrediction(
             name="probe",
             time_s=probe_time,
             energy_j=self._energy_with_idle_tails(
-                probe_time,
-                time_b,
-                time_w,
-                self._beefy_utilization(scan_b),
-                self._wimpy_utilization(scan_w),
+                probe_time, time_b, time_w, beefy.scan_util, wimpy.scan_util
             ),
-            beefy_utilization=self._beefy_utilization(scan_b) if params.num_beefy else 0.0,
-            wimpy_utilization=self._wimpy_utilization(scan_w) if params.num_wimpy else 0.0,
-            bottleneck="cpu" if self.warm_cache else "disk",
+            beefy_utilization=beefy.scan_util if beefy.count else 0.0,
+            wimpy_utilization=wimpy.scan_util if wimpy.count else 0.0,
+            bottleneck=self._scan_bottleneck,
         )
         return Prediction(
             query=query, mode=ExecutionMode.HOMOGENEOUS, build=build, probe=probe
         )
 
     # ----------------------------------------------------------------- phases
-    def _scan_limits(self) -> tuple[float, float]:
-        """Pre-filter scan rate ceilings (beefy, wimpy) for the cache regime."""
-        params = self.params
-        cost = self.pipeline_cpu_cost
-        if self.warm_cache:
-            return params.beefy_cpu_mbps / cost, params.wimpy_cpu_mbps / cost
-        # Cold scans are disk-bound unless the engine pipeline cannot keep up.
-        return (
-            min(params.disk_mbps, params.beefy_cpu_mbps / cost),
-            min(params.effective_wimpy_disk_mbps, params.wimpy_cpu_mbps / cost),
-        )
-
     def _homogeneous_phase(
         self, name: str, volume_mb: float, selectivity: float
     ) -> PhasePrediction:
         """The paper's homogeneous equations, one node-type pair at a time."""
-        params = self.params
-        n = params.num_nodes
-        network_rate = (
-            params.network_mbps if n == 1 else n * params.network_mbps / (n - 1)
-        )
-        scan_b, scan_w = self._scan_limits()
-
-        def rates(scan_limit: float, nic_mbps: float) -> tuple[float, float, str]:
-            scan_rate = scan_limit * selectivity
-            type_network_rate = (
-                network_rate * nic_mbps / params.network_mbps
-            )  # per-type NIC extension; == network_rate when uniform
-            if self.strict_paper_conditions:
-                # Verbatim Table 3 branch: disk bound iff I*S < L.
-                scan_bound = n == 1 or scan_rate < nic_mbps
-            else:
-                # Compare against the effective network-bound rate
-                # n*L/(n-1): identical for the paper's 8-node settings but
-                # consistent with the fluid simulator at small n.
-                scan_bound = n == 1 or scan_rate <= type_network_rate
-            if scan_bound:
-                bottleneck = "disk" if not self.warm_cache else "cpu"
-                return scan_rate, scan_limit, bottleneck
-            return type_network_rate, type_network_rate / selectivity, "network"
-
-        rate_b, util_rate_b, bneck_b = rates(scan_b, params.network_mbps)
-        rate_w, util_rate_w, bneck_w = rates(
-            scan_w, params.effective_wimpy_network_mbps
-        )
+        beefy, wimpy = self._beefy, self._wimpy
+        rate_b, beefy_util, bneck_b = self._homogeneous_rate(beefy, selectivity)
+        rate_w, wimpy_util, bneck_w = self._homogeneous_rate(wimpy, selectivity)
 
         # Per-node completion times; the phase barrier makes the slower node
         # type gate the phase.  When RB == RW (always true in the paper's
         # disk-/network-bound settings) this equals the printed
         # ``Volume*S / (NB*R + NW*R)``.
-        per_node_qualifying = volume_mb * selectivity / n
-        time_b = per_node_qualifying / rate_b if params.num_beefy else 0.0
-        time_w = per_node_qualifying / rate_w if params.num_wimpy else 0.0
+        per_node_qualifying = volume_mb * selectivity / self._num_nodes
+        time_b = per_node_qualifying / rate_b if beefy.count else 0.0
+        time_w = per_node_qualifying / rate_w if wimpy.count else 0.0
         time_s = max(time_b, time_w)
 
-        beefy_util = self._beefy_utilization(util_rate_b)
-        wimpy_util = self._wimpy_utilization(util_rate_w)
         energy = self._energy_with_idle_tails(time_s, time_b, time_w, beefy_util, wimpy_util)
         bottleneck = bneck_b if time_b >= time_w else bneck_w
         return PhasePrediction(
             name=name,
             time_s=time_s,
             energy_j=energy,
-            beefy_utilization=beefy_util if params.num_beefy else 0.0,
-            wimpy_utilization=wimpy_util if params.num_wimpy else 0.0,
+            beefy_utilization=beefy_util if beefy.count else 0.0,
+            wimpy_utilization=wimpy_util if wimpy.count else 0.0,
             bottleneck=bottleneck,
         )
+
+    def _homogeneous_rate(
+        self, node: _NodeType, selectivity: float
+    ) -> tuple[float, float, str]:
+        """One type's (qualifying rate, utilization, bottleneck) in a
+        homogeneous phase."""
+        scan_rate = node.scan_limit * selectivity
+        if self._strict_paper_conditions:
+            # Verbatim Table 3 branch: disk bound iff I*S < L.
+            scan_bound = self._num_nodes == 1 or scan_rate < node.nic_mbps
+        else:
+            # Compare against the effective network-bound rate n*L/(n-1):
+            # identical for the paper's 8-node settings but consistent with
+            # the fluid simulator at small n.
+            scan_bound = self._num_nodes == 1 or scan_rate <= node.network_rate
+        if scan_bound:
+            return scan_rate, node.scan_util, self._scan_bottleneck
+        rate = node.network_rate
+        return rate, node.utilization(rate / selectivity), "network"
 
     def _heterogeneous_phase(
         self, name: str, volume_mb: float, selectivity: float
     ) -> PhasePrediction:
         """Derived ingestion-bound model (see module docstring)."""
-        params = self.params
-        n = params.num_nodes
-        nb = params.num_beefy
-        scan_b, scan_w = self._scan_limits()
+        beefy, wimpy = self._beefy, self._wimpy
+        scan_b, scan_w = beefy.scan_limit, wimpy.scan_limit
 
         # Qualifying-tuple supply per source node (outbound NIC can also cap).
-        supply_b = min(scan_b * selectivity, params.network_mbps)
-        supply_w = min(scan_w * selectivity, params.effective_wimpy_network_mbps)
-        supply = nb * supply_b + params.num_wimpy * supply_w
-
-        # Beefy inbound NICs: each Beefy's share arrives (n-1)/n over the wire.
-        ingest_capacity = (
-            nb * params.network_mbps * (n / (n - 1)) if n > 1 else float("inf")
-        )
+        supply_b = min(scan_b * selectivity, beefy.nic_mbps)
+        supply_w = min(scan_w * selectivity, wimpy.nic_mbps)
 
         qualifying_mb = volume_mb * selectivity
 
@@ -549,17 +677,17 @@ class PStoreModel:
         #  * the Beefy inbound NICs draining the whole qualifying volume,
         #  * each Beefy source draining its own partition,
         #  * each Wimpy source draining its own partition (barrier).
-        ingest_time = qualifying_mb / ingest_capacity
-        per_node_qualifying = qualifying_mb / n
-        time_b = per_node_qualifying / supply_b if nb else 0.0
-        time_w = per_node_qualifying / supply_w if params.num_wimpy else 0.0
+        ingest_time = qualifying_mb / self._ingest_capacity
+        per_node_qualifying = qualifying_mb / self._num_nodes
+        time_b = per_node_qualifying / supply_b if beefy.count else 0.0
+        time_w = per_node_qualifying / supply_w if wimpy.count else 0.0
         time_s = max(ingest_time, time_b, time_w)
         if time_s == ingest_time:
             bottleneck = "ingest"
-        elif supply_b >= params.network_mbps and time_b >= time_w:
+        elif supply_b >= beefy.nic_mbps and time_b >= time_w:
             bottleneck = "network"
         else:
-            bottleneck = "cpu" if self.warm_cache else "disk"
+            bottleneck = self._scan_bottleneck
 
         # Source-side CPU rates, diluted by how long each type's scan work
         # is spread over the phase (slow peers or ingest limits stall it).
@@ -567,11 +695,11 @@ class PStoreModel:
         throttle_w = time_w / time_s if time_s > 0 else 0.0
         util_rate_b = min(scan_b, supply_b / selectivity) * throttle_b
         util_rate_w = min(scan_w, supply_w / selectivity) * throttle_w
-        beefy_util = self._beefy_utilization(util_rate_b)
-        wimpy_util = self._wimpy_utilization(util_rate_w)
+        beefy_util = beefy.utilization(util_rate_b)
+        wimpy_util = wimpy.utilization(util_rate_w)
         # Sources stay active for the whole phase at their diluted rates.
         energy = self._energy_with_idle_tails(
-            time_s, time_s if nb else 0.0, time_s if params.num_wimpy else 0.0,
+            time_s, time_s if beefy.count else 0.0, time_s if wimpy.count else 0.0,
             beefy_util, wimpy_util,
         )
         return PhasePrediction(
@@ -579,29 +707,11 @@ class PStoreModel:
             time_s=time_s,
             energy_j=energy,
             beefy_utilization=beefy_util,
-            wimpy_utilization=wimpy_util if params.num_wimpy else 0.0,
+            wimpy_utilization=wimpy_util if wimpy.count else 0.0,
             bottleneck=bottleneck,
         )
 
     # ------------------------------------------------------------- utilities
-    def _beefy_utilization(self, prefilter_rate_mbps: float) -> float:
-        params = self.params
-        return clamp(
-            params.beefy_base_util
-            + self.pipeline_cpu_cost * prefilter_rate_mbps / params.beefy_cpu_mbps,
-            0.0,
-            1.0,
-        )
-
-    def _wimpy_utilization(self, prefilter_rate_mbps: float) -> float:
-        params = self.params
-        return clamp(
-            params.wimpy_base_util
-            + self.pipeline_cpu_cost * prefilter_rate_mbps / params.wimpy_cpu_mbps,
-            0.0,
-            1.0,
-        )
-
     def _energy_with_idle_tails(
         self,
         time_s: float,
@@ -617,18 +727,14 @@ class PStoreModel:
         finish together this reduces to the paper's
         ``T * (NB*fB(...) + NW*fW(...))``.
         """
-        params = self.params
+        beefy, wimpy = self._beefy, self._wimpy
         energy = 0.0
-        if params.num_beefy:
-            idle_power = params.beefy_power.power(max(params.beefy_base_util, 0.01))
-            energy += params.num_beefy * (
-                params.beefy_power.power(beefy_util) * time_b
-                + idle_power * (time_s - time_b)
+        if beefy.count:
+            energy += beefy.count * (
+                beefy.power(beefy_util) * time_b + beefy.idle_w * (time_s - time_b)
             )
-        if params.num_wimpy:
-            idle_power = params.wimpy_power.power(max(params.wimpy_base_util, 0.01))
-            energy += params.num_wimpy * (
-                params.wimpy_power.power(wimpy_util) * time_w
-                + idle_power * (time_s - time_w)
+        if wimpy.count:
+            energy += wimpy.count * (
+                wimpy.power(wimpy_util) * time_w + wimpy.idle_w * (time_s - time_w)
             )
         return energy

@@ -54,8 +54,22 @@ class DVFSPowerModel(PowerModel):
         )
 
 
+#: Variants already built, keyed on the node's identity and the factor:
+#: a design grid asks for the same few DVFS states of the same node
+#: objects once per design and join.  Each entry holds its node, so the
+#: node's id cannot be reused while the entry lives.  Bounded: a full memo
+#: starts over.
+_VARIANTS: dict[tuple, tuple[NodeSpec, NodeSpec]] = {}
+_MAX_VARIANTS = 128
+
+
 def dvfs_variant(node: NodeSpec, frequency_factor: float) -> NodeSpec:
     """A copy of ``node`` running at ``frequency_factor`` of nominal clock.
+
+    Repeated requests for the same node and factor share one spec (specs
+    are immutable), so a design grid builds each DVFS state once.  A
+    shared spec equals a fresh one in every field, ``description``
+    included.
 
     >>> from repro.hardware.presets import CLUSTER_V_NODE
     >>> slow = dvfs_variant(CLUSTER_V_NODE, 0.6)
@@ -66,8 +80,17 @@ def dvfs_variant(node: NodeSpec, frequency_factor: float) -> NodeSpec:
         raise ConfigurationError(
             f"frequency factor must be in (0, 1], got {frequency_factor}"
         )
-    return node.with_overrides(
+    # the factor's type too: 1 and 1.0 are equal keys but distinct specs
+    key = (id(node), type(frequency_factor), frequency_factor)
+    hit = _VARIANTS.get(key)
+    if hit is not None:
+        return hit[1]
+    variant = node.with_overrides(
         name=f"{node.name}@{frequency_factor:.0%}",
         cpu_bandwidth_mbps=node.cpu_bandwidth_mbps * frequency_factor,
         power_model=DVFSPowerModel(node.power_model, frequency_factor),
     )
+    if len(_VARIANTS) >= _MAX_VARIANTS:
+        _VARIANTS.clear()
+    _VARIANTS[key] = (node, variant)
+    return variant

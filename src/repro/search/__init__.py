@@ -53,8 +53,13 @@ One :meth:`DesignSpaceSearch.search` call runs a five-stage pipeline at
    over the engine's persistent worker pool (created lazily, reused
    across searches, released via :meth:`DesignSpaceSearch.close` or the
    context-manager protocol); tasks ship grouped by candidate so
-   evaluators like :class:`SimulatorEvaluator` amortize per-candidate
-   setup across a batch;
+   evaluators amortize per-candidate setup across a batch:
+   :class:`SimulatorEvaluator` builds one cluster and simulated store,
+   and :class:`ModelEvaluator` one set of model parameters and one
+   :class:`~repro.core.model.PStoreModel`, whose design constants are
+   derived at construction (DVFS variants and power-model watts are
+   shared through bounded memos), with records bit-identical to
+   per-join evaluation;
 5. **aggregate** — per-entry records are weight-summed back into
    :class:`EvaluatedDesign` records in entry order, bit-identically to
    the workload-granular rule (any infeasible entry makes the design

@@ -301,8 +301,9 @@ class SearchEvaluator(abc.ABC):
         Infeasible joins come back as infeasible *records* (never an
         exception), so a batch always yields ``len(queries)`` results.
         Subclasses whose per-query setup is dominated by per-candidate
-        work (cluster construction, simulator state) override this to
-        amortize it — :class:`SimulatorEvaluator` does.
+        work (cluster construction, simulator state, model constants)
+        override this to amortize it — :class:`SimulatorEvaluator` and
+        :class:`ModelEvaluator` do.
         """
         get_telemetry().count("evaluator.query_evals", len(queries))
         return [evaluate_entry(self, candidate, query) for query in queries]
@@ -325,6 +326,16 @@ class ModelEvaluator(SearchEvaluator):
     memory), so the two evaluators' default records are not comparable:
     all-Beefy designs differ about 2x.  Pass the same ``warm_cache`` to
     both to compare them.
+
+    A candidate's :class:`~repro.core.model.ModelParameters` and
+    :class:`~repro.core.model.PStoreModel` depend on the design and this
+    evaluator's settings alone, so :meth:`evaluate_query_batch` builds
+    them once per batch and runs each join through the per-join step
+    :meth:`evaluate_query` runs.  Records cannot change: the model is a
+    pure function of its inputs, and a build that fails fails before any
+    join is read, so every join gets the record :meth:`evaluate_query`
+    would give it.  The evaluator itself keeps no state — its pickle,
+    :meth:`fingerprint`, ``==`` and ``hash`` are its fields'.
     """
 
     warm_cache: bool = False
@@ -335,18 +346,42 @@ class ModelEvaluator(SearchEvaluator):
     def evaluate_query(
         self, candidate: DesignCandidate, query: JoinWorkloadSpec
     ) -> EvaluatedDesign:
+        return self._predicted(candidate, self._model(candidate), query)
+
+    def evaluate_query_batch(
+        self, candidate: DesignCandidate, queries: Sequence[JoinWorkloadSpec]
+    ) -> list[EvaluatedDesign]:
+        """One model for every join of the batch; records as per join."""
+        get_telemetry().count("evaluator.query_evals", len(queries))
+        try:
+            model = self._model(candidate)
+        except ReproError as exc:
+            return [_infeasible_record(candidate, exc) for _ in queries]
+        records = []
+        for query in queries:
+            try:
+                records.append(self._predicted(candidate, model, query))
+            except ReproError as exc:
+                records.append(_infeasible_record(candidate, exc))
+        return records
+
+    def _model(self, candidate: DesignCandidate) -> PStoreModel:
         params = ModelParameters.from_specs(
             candidate.effective_beefy,
             candidate.num_beefy,
             candidate.effective_wimpy,
             candidate.num_wimpy,
         )
-        model = PStoreModel(
+        return PStoreModel(
             params,
             warm_cache=self.warm_cache,
             pipeline_cpu_cost=self.pipeline_cpu_cost,
             strict_paper_conditions=self.strict_paper_conditions,
         )
+
+    def _predicted(
+        self, candidate: DesignCandidate, model: PStoreModel, query: JoinWorkloadSpec
+    ) -> EvaluatedDesign:
         prediction = model.predict(query, mode=candidate.mode)
         return self._priced(
             EvaluatedDesign(

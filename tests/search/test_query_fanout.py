@@ -8,13 +8,27 @@ to serial, and the persistent worker pool survives across ``search()``
 calls.
 """
 
-import pytest
+from dataclasses import replace
 
-from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.costmodel import CostModel
+from repro.hardware.presets import (
+    CLUSTER_V_NODE,
+    DESKTOP_ATOM,
+    LAPTOP_B,
+    WIMPY_LAPTOP_B,
+    WORKSTATION_A,
+    WORKSTATION_B,
+)
+from repro.pstore.plans import ExecutionMode
 from repro.search import (
     DesignGrid,
     DesignSpaceSearch,
     EvaluationCache,
+    ModelEvaluator,
     SimulatorEvaluator,
 )
 from repro.search.evaluators import evaluate_entry
@@ -26,6 +40,54 @@ from repro.workloads.suite import SuiteEntry, WorkloadSuite
 
 def paper_grid(size=8):
     return DesignGrid.paper_axis(CLUSTER_V_NODE, WIMPY_LAPTOP_B, size)
+
+
+PRICED = CostModel(
+    tariff_usd_per_kwh=0.12,
+    carbon_g_per_kwh=400.0,
+    capex_usd_per_node_hour={"cluster-V": 0.80, "wimpy-laptopB": 0.08},
+)
+#: cold and warm scans, both branch conditions, both pipeline CPU costs, a
+#: cost model, and a model that cannot be built at all
+MODEL_EVALUATORS = {
+    "cold": ModelEvaluator(),
+    "warm-calibrated": ModelEvaluator(warm_cache=True, pipeline_cpu_cost=3.0),
+    "strict-priced": ModelEvaluator(strict_paper_conditions=True, cost_model=PRICED),
+    "unbuildable-model": ModelEvaluator(pipeline_cpu_cost=0.0),
+}
+#: feasible joins, and section 5.4 joins too big for some designs
+MODEL_JOINS = [
+    q3_join(100, 0.05, 0.05),
+    section54_join(0.10, 0.10),
+    q3_join(100, 0.01, 0.10),
+    section54_join(0.10, 0.01),
+]
+
+
+def model_candidates():
+    """Designs on which :data:`MODEL_JOINS` mix feasible and infeasible."""
+
+    def design(num_beefy, num_wimpy, beefy=CLUSTER_V_NODE, **dvfs_and_mode):
+        return DesignCandidate(
+            label=f"{num_beefy}B,{num_wimpy}W",
+            beefy=beefy,
+            wimpy=WIMPY_LAPTOP_B,
+            num_beefy=num_beefy,
+            num_wimpy=num_wimpy,
+            **dvfs_and_mode,
+        )
+
+    # NodeSpec validates its NIC, so zero it after construction: the
+    # design's ModelParameters cannot be built
+    no_nic = replace(CLUSTER_V_NODE, name="no-nic")
+    object.__setattr__(no_nic, "nic_bandwidth_mbps", 0.0)
+    return [
+        design(0, 8),  # all-Wimpy: no 2-pass join for the big tables
+        design(1, 3, beefy_frequency_factor=0.8, wimpy_frequency_factor=1.0),
+        design(4, 4, frequency_factor=0.6, mode=ExecutionMode.HOMOGENEOUS),
+        design(8, 0, frequency_factor=0.8),
+        design(2, 2, beefy=no_nic),
+    ]
 
 
 def mixed_suite():
@@ -196,6 +258,87 @@ class TestQueryGranularParallelism:
         solo = [evaluate_entry(evaluator, candidate, query) for query in queries]
         assert batch == solo
         assert [record.feasible for record in batch] == [True, False, True]
+
+    @pytest.mark.parametrize("name", MODEL_EVALUATORS)
+    def test_model_batch_equals_per_query_records(self, name):
+        """One model per batch gives every join the record its own
+        evaluation gives, infeasible ones and failed builds included."""
+        evaluator = MODEL_EVALUATORS[name]
+        reasons = set()
+        for candidate in model_candidates():
+            batch = evaluator.evaluate_query_batch(candidate, MODEL_JOINS)
+            solo = [evaluate_entry(evaluator, candidate, query) for query in MODEL_JOINS]
+            assert batch == solo, candidate.label
+            reasons.update(r.infeasible_reason for r in batch if not r.feasible)
+        if name == "unbuildable-model":
+            # the parameters fail before the model on the design without a NIC
+            assert reasons == {
+                "pipeline_cpu_cost must be > 0, got 0.0",
+                "network_mbps must be > 0",
+            }
+            return
+        for reason in (
+            "no 2-pass join",
+            "heterogeneous execution needs",
+            "homogeneous execution forced",
+            "network_mbps must be > 0",
+        ):
+            assert any(reason in text for text in reasons), reason
+        if evaluator.cost_model is not None:
+            assert all(
+                r.price_usd is not None
+                for r in evaluator.evaluate_query_batch(model_candidates()[0], MODEL_JOINS)
+                if r.feasible
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_model_batch_equals_per_query_records_property(self, data):
+        """Random grids, joins and evaluator settings: every candidate's
+        batch equals its per-join records, in order."""
+        beefy, wimpy = data.draw(
+            st.sampled_from(
+                [
+                    (CLUSTER_V_NODE, WIMPY_LAPTOP_B),
+                    (WORKSTATION_A, LAPTOP_B),
+                    (WORKSTATION_B, DESKTOP_ATOM),
+                ]
+            )
+        )
+        per_type = st.one_of(st.none(), st.sampled_from([(1.0,), (0.7,), (1.0, 0.8)]))
+        grid = DesignGrid(
+            node_pairs=((beefy, wimpy),),
+            cluster_sizes=tuple(
+                data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=2))
+            ),
+            beefy_frequency_factors=data.draw(per_type),
+            wimpy_frequency_factors=data.draw(per_type),
+            modes=data.draw(
+                st.sampled_from([(None,), (None, ExecutionMode.HOMOGENEOUS), tuple(ExecutionMode)])
+            ),
+            mix_step=data.draw(st.integers(1, 3)),
+        )
+        selectivity = st.floats(0.001, 0.5)
+        joins = data.draw(
+            st.lists(
+                st.one_of(
+                    st.builds(q3_join, st.sampled_from([10, 100]), selectivity, selectivity),
+                    st.builds(section54_join, selectivity, selectivity),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        evaluator = ModelEvaluator(
+            warm_cache=data.draw(st.booleans()),
+            strict_paper_conditions=data.draw(st.booleans()),
+            pipeline_cpu_cost=data.draw(st.sampled_from([1.0, 3.0])),
+            cost_model=data.draw(st.sampled_from([None, PRICED])),
+        )
+        for candidate in grid.candidates():
+            assert evaluator.evaluate_query_batch(candidate, joins) == [
+                evaluate_entry(evaluator, candidate, query) for query in joins
+            ], candidate.label
 
 
 class TestPoolLifecycle:
