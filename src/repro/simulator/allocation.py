@@ -17,7 +17,6 @@ whose network demand is ``selectivity * (N-1)/N`` of its scan rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +26,6 @@ from repro.errors import SimulationError
 __all__ = [
     "max_min_fair_rates",
     "max_min_fair_allocation",
-    "AllocationSystem",
-    "max_min_fair_rates_batch",
     "max_min_fair_rates_flat",
 ]
 
@@ -140,90 +137,6 @@ def max_min_fair_allocation(
     return rates, bindings
 
 
-@dataclass(frozen=True)
-class AllocationSystem:
-    """One lane's (flows x resources) demand system in COO form.
-
-    The arrays list every (flow, resource, coefficient) demand entry in
-    *flow-major, demand-insertion* order — exactly the order the scalar
-    allocator's ``load`` dict accumulates in — with flow and resource ids
-    local to the lane.  ``capacities`` is indexed by local resource id.
-    """
-
-    flow_index: np.ndarray
-    resource_index: np.ndarray
-    coefficient: np.ndarray
-    num_flows: int
-    capacities: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.capacities.shape[0] == 0:
-            raise SimulationError("allocation system has no resources")
-
-
-def max_min_fair_rates_batch(
-    systems: Sequence[AllocationSystem],
-) -> list[np.ndarray]:
-    """Progressive filling over many independent lanes at once.
-
-    Each lane is its own cluster: lanes share no resources, so the global
-    arrays are block-diagonal and every per-round quantity (aggregate
-    load, rate increment, residual decrement, saturation test) is computed
-    for all lanes in one vectorized pass.  Per lane, the arithmetic is
-    op-for-op the scalar :func:`max_min_fair_allocation` sequence —
-    ``np.bincount`` accumulates weights in input order, matching the
-    scalar load-dict accumulation, and every update is the same
-    elementwise float64 operation — so each lane's rates are bit-identical
-    to running it alone through the scalar allocator.  Frozen flows'
-    demand entries are compacted away between rounds (an order-preserving
-    gather, so accumulation order never changes); a lane that converged
-    early simply stops contributing entries while slower lanes finish.
-
-    Demand systems are trusted as constructed (the simulator validates
-    jobs against its resource pool before building them); the per-flow
-    validation of the scalar allocator is not repeated here.
-
-    Returns one rates array per lane, parallel to ``systems``.  Bindings
-    are not computed (the batch path serves interval-free simulation);
-    use the scalar allocator when bottleneck attribution is needed.
-    """
-    n_lanes = len(systems)
-    if n_lanes == 0:
-        return []
-
-    flow_counts = np.array([s.num_flows for s in systems], dtype=np.int64)
-    res_counts = np.array([s.capacities.shape[0] for s in systems], dtype=np.int64)
-    flow_offsets = np.zeros(n_lanes + 1, dtype=np.int64)
-    np.cumsum(flow_counts, out=flow_offsets[1:])
-    res_offsets = np.zeros(n_lanes + 1, dtype=np.int64)
-    np.cumsum(res_counts, out=res_offsets[1:])
-
-    entry_flow = np.concatenate(
-        [s.flow_index + flow_offsets[i] for i, s in enumerate(systems)]
-    )
-    entry_res = np.concatenate(
-        [s.resource_index + res_offsets[i] for i, s in enumerate(systems)]
-    )
-    entry_coef = np.concatenate([s.coefficient for s in systems])
-    capacities = np.concatenate([s.capacities for s in systems])
-
-    rates = max_min_fair_rates_flat(
-        entry_flow,
-        entry_res,
-        entry_coef,
-        np.repeat(np.arange(n_lanes), flow_counts),
-        np.repeat(np.arange(n_lanes), res_counts),
-        res_offsets,
-        capacities,
-        _EPSILON * np.maximum(1.0, capacities),
-        int(flow_offsets[-1]),
-        n_lanes,
-    )
-    return [
-        rates[flow_offsets[i] : flow_offsets[i + 1]] for i in range(n_lanes)
-    ]
-
-
 def max_min_fair_rates_flat(
     entry_flow: np.ndarray,
     entry_res: np.ndarray,
@@ -236,18 +149,40 @@ def max_min_fair_rates_flat(
     total_flows: int,
     n_lanes: int,
 ) -> np.ndarray:
-    """Progressive filling over pre-concatenated block-diagonal arrays.
+    """Progressive filling over many independent lanes at once.
 
-    The engine behind :func:`max_min_fair_rates_batch`, exposed for
-    callers (the event-multiplexed simulator) that already maintain the
-    global entry/capacity arrays and would otherwise re-concatenate them
-    on every allocation.  ``entry_flow``/``entry_res`` hold *global* flow
-    and resource ids (each lane's block offset already applied), in
-    flow-major, demand-insertion order per lane; ``res_offsets`` bounds
-    each lane's resource block; ``sat_threshold`` is the per-resource
-    saturation cutoff (``_EPSILON * max(1, capacity)``).  Lanes with no
-    flows are permitted and ignored.  Returns the flat rates array,
-    indexed by global flow id.
+    Each lane is its own cluster: lanes share no resources, so the
+    arrays are block-diagonal and every per-round quantity (aggregate
+    load, rate increment, residual decrement, saturation test) is
+    computed for all lanes in one vectorized pass.  ``entry_flow`` and
+    ``entry_res`` hold *global* flow and resource ids (each lane's block
+    offset already applied), in flow-major, demand-insertion order per
+    lane; ``res_offsets`` bounds each lane's resource block;
+    ``sat_threshold`` is the per-resource saturation cutoff
+    (``_EPSILON * max(1, capacity)``).  Lanes with no flows are permitted
+    and ignored.  Returns the flat rates array, indexed by global flow
+    id.  Bindings are not computed (this path serves interval-free
+    simulation); use the scalar allocator when bottleneck attribution is
+    needed.
+
+    Per lane, the arithmetic is op-for-op the scalar
+    :func:`max_min_fair_allocation` sequence: ``np.bincount`` accumulates
+    weights in input order, matching the scalar load-dict accumulation,
+    and every update is the same elementwise float64 operation.  Frozen
+    flows' demand entries are compacted away between rounds (an
+    order-preserving gather, so accumulation order never changes); a lane
+    that converged early simply stops contributing entries while slower
+    lanes finish.  A lane's increment, residuals and freezes are computed
+    from its own entries and its own block alone, so each lane's rates
+    are bit-identical to running it alone through the scalar allocator,
+    and a call over any subset of the lanes — blocks compacted and lanes
+    renumbered, each lane's entries in the same order — gives those lanes
+    the same bits.  The multiplexed loop's allocation memo relies on
+    this.
+
+    Demand systems are trusted as constructed (the simulator validates
+    jobs against its resource pool before building them); the per-flow
+    validation of the scalar allocator is not repeated here.
     """
     residual = capacities.copy()
     rates = np.zeros(total_flows)

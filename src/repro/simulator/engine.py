@@ -58,6 +58,13 @@ entries, so a long faulted run cannot grow it without bound.  A hit
 returns the very values a fresh allocation would compute, and events,
 their order and the order of every sum are unchanged, so results are
 bit-identical with or without it.
+
+Both loops memoize.  The multiplexed loop keeps one memo per lane,
+keyed on the lane's live template ids and split by capacity state, and
+allocates only the lanes that miss (see *Allocation memo* in
+:mod:`repro.simulator.multiplex`).  ``sim.allocations`` counts this
+loop's computed allocations and ``sim.multiplex.allocations`` that
+one's.
 """
 
 from __future__ import annotations

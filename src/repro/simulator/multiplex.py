@@ -41,12 +41,14 @@ Everything entry-sized comes from one *template universe* per
 batch is interned there once, by value, so a template id means the same
 flow in every lane; per template the universe holds its demand rows
 (local resource id, coefficient), its CPU rows (node, coefficient), its
-volume, floor and has-network flag.  Each allocation gathers the live
-flows' demand entries out of it (adding each lane's offset into one
-global block-diagonal resource id space), hands them to the allocator
+volume, floor and has-network flag.  An allocation gathers the demand
+entries of the flows of the lanes that missed the allocation memo (see
+below) out of it, numbering those lanes' resources into one compacted
+block-diagonal id space, hands them to the allocator
 (:func:`~repro.simulator.allocation.max_min_fair_rates_flat`), and lets
-them go; phase D gathers the CPU rows for one per-node CPU-rate
-``bincount`` the same way.  No entry-sized array outlives an iteration.
+them go; phase D gathers every live flow's CPU rows for one per-node
+CPU-rate ``bincount`` the same way.  No entry-sized array outlives an
+iteration.
 Admissions from every lane merge with a fixed number of array calls:
 their template ids and jobs are joined in Python, in lane order, and
 each per-flow array is spliced once.  One vectorized utilization pass
@@ -63,6 +65,48 @@ each flow's entries in demand-insertion order; lanes may sit anywhere.
 Lanes that replay the same job list on the same node count share one
 *job index*: arrival order, the phase memo (each phase's template ids)
 and the demanded-node memo.
+
+Allocation memo
+---------------
+A trace replays a few query templates many times, so a lane keeps
+running through live sets it has already allocated.  Every flat lane
+therefore keeps a memo from its live set to its rates, and phase C
+allocates only the lanes whose live set misses it.
+
+* **Key.**  The lane's template ids in live order, as bytes (32-bit).
+  Ids are interned by value per batch, and the allocation reads nothing
+  else but the lane's capacity block.  Without a fault source the block
+  is a function of the key: switch efficiency follows the count of live
+  flows that cross the network, and the templates fix that count.  So
+  the key is complete.
+* **Capacity states.**  A faulted lane's block also follows its network
+  degrade factor and its effective DVFS × straggler factors, so it keeps
+  one memo per ``(degrade factor, effective factors)`` state, selected
+  when a head changes its nodes; a lookup hashes bytes only.
+* **Constant blocks.**  Only a lossy switch's efficiency follows the
+  network-flow count, so only lanes on one count network flows.  A lane
+  on a switch whose ``per_flow_interference`` is 0 (every search
+  evaluator's lanes) rebuilds its block only when a fault changes its
+  nodes, and without a fault source never.
+* **Misses.**  The missed lanes' flows' entries are gathered and handed
+  to the allocator with only those lanes' capacity and saturation
+  blocks, in lane order, lanes renumbered from 0; each lane's rates are
+  stored as bytes, and the iteration's rates array is joined from every
+  lane's bytes.  Iterations in which every lane hits call no allocator.
+* **Bounds.**  A memo is cleared when it reaches ``_LANE_MEMO_CAP``
+  live sets (chosen by peak memory), and a lane's memos are dropped
+  when the lane finishes or fails.
+* **No changed flag.**  The loop moves each lane one event per
+  iteration, and every event changes the lane's live set, so every lane
+  with flows is looked up every iteration.
+
+Results stay bit-identical: the allocator computes each lane's
+increment, residuals and freezes from that lane's entries and block
+alone, so a call over a subset of lanes, with compacted blocks and the
+same entry order, gives each lane the bits a call over every lane gives
+it, and a hit returns bits an earlier call computed from the same
+inputs.  ``sim.multiplex.allocations`` counts the lane allocations
+computed (the misses).
 
 Error isolation
 ---------------
@@ -157,6 +201,11 @@ _KIND_OFFSET = {CPU: 0, DISK: 1, NIC_IN: 2, NIC_OUT: 3}
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0)
+
+#: live sets one lane's allocation memo holds before it is cleared,
+#: chosen by peak RSS: at 32 a trace-healthy sample peaks about 4.5%
+#: above a memo-free loop, at 64 about 6.5% (its bound is 10%)
+_LANE_MEMO_CAP = 32
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -895,7 +944,10 @@ def _run_flat(
     live-list order within each lane) and gathers everything entry-sized
     from ``universe`` right before use; every iteration performs a fixed
     number of whole-array operations plus scalar work proportional to the
-    handful of lanes admitting jobs, retiring flows or firing faults.  A
+    handful of lanes admitting jobs, retiring flows or firing faults, and
+    one memo lookup per lane with flows.  Phase C allocates only the
+    lanes whose live set misses their memo, over those lanes' flows and
+    resource blocks alone (the module docstring's *Allocation memo*).  A
     ``carbon_curve`` adds the per-lane carbon totals of the module
     docstring's *Carbon accumulation*; lanes carrying a state machine
     follow its *Fault source*.  A lane that raises
@@ -910,7 +962,6 @@ def _run_flat(
         [lane.base_caps.shape[0] for lane in lanes], dtype=np.int64
     )
     res_off = _offsets(res_counts)
-    lane_of_res = np.repeat(np.arange(n_lanes), res_counts)
     #: global resource id = lane block offset + node*4 + kind; global node
     #: id = lane node offset + node
     caps = np.concatenate([lane.base_caps for lane in lanes])
@@ -966,7 +1017,13 @@ def _run_flat(
             return total
 
     # A lane's capacity block follows (switch efficiency x degrade factor,
-    # effective CPU factors); rebuilt only when one of them changes.
+    # effective CPU factors); rebuilt only when one of them changes.  Only
+    # a lossy switch's efficiency follows the network-flow count, so only
+    # lanes on one count network flows; a faulted lane's block is rebuilt
+    # when its nodes change (sync_nodes), and any other lane keeps its
+    # block for good.
+    lossy = [lane.sim.switch.per_flow_interference != 0 for lane in lanes]
+    any_lossy = any(lossy)
     nnet = [0] * n_lanes
     eff = [1.0] * n_lanes
     cap_factors: list[tuple | None] = [None] * n_lanes
@@ -1000,8 +1057,29 @@ def _run_flat(
         caps[res_off[l] : res_off[l + 1]] = block
         sat[res_off[l] : res_off[l + 1]] = _EPSILON * np.maximum(1.0, block)
 
+    # The allocation memo (module docstring): each lane's memo in its
+    # current capacity state maps live template ids (bytes) to rates
+    # (bytes).  A faulted lane keeps one memo per (degrade factor,
+    # effective factors), selected when its nodes change.  None once the
+    # lane is done.
+    memos: list[dict | None] = [{} for _ in lanes]
+    state_memos: list[dict | None] = [
+        None if lane.nodes is None else {} for lane in lanes
+    ]
+    #: computed lane allocations (memo misses), per lane
+    lane_allocations = [0] * n_lanes
+
+    def select_memo(l: int) -> None:
+        nodes = lanes[l].nodes
+        memos[l] = state_memos[l].setdefault((nodes.net_mult, nodes.effective), {})
+
+    def drop_memo(l: int) -> None:
+        memos[l] = None
+        state_memos[l] = None
+
     for l in range(n_lanes):
-        update_caps(l)
+        if lanes[l].nodes is not None:
+            select_memo(l)
 
     # Faulted lanes: down nodes' watts are pinned (phase D leaves them
     # alone), and lanes with a node down charge each step's stretch.
@@ -1045,6 +1123,7 @@ def _run_flat(
         else:
             down_lanes.discard(l)
         power_dirty = True
+        select_memo(l)
         update_caps(l)
 
     # Per-flow state, lane-contiguous and in the serial loop's live order
@@ -1078,6 +1157,7 @@ def _run_flat(
         active[l] = False
         has_pend[l] = False
         down_lanes.discard(l)
+        drop_memo(l)
 
     def retain(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keep the flows where ``keep`` is set, in order; return the
@@ -1087,17 +1167,20 @@ def _run_flat(
         gone = ~keep
         gone_lane = f_lane[gone]
         gone_job = f_job[gone]
-        net_dec = np.bincount(f_lane[gone & universe.has_net[f_tid]], minlength=n_lanes)
+        if any_lossy:
+            net_dec = np.bincount(
+                f_lane[gone & universe.has_net[f_tid]], minlength=n_lanes
+            )
+            for l in np.nonzero(net_dec)[0].tolist():
+                if lossy[l]:
+                    nnet[l] -= int(net_dec[l])
+                    update_caps(l)
         flow_count = flow_count - np.bincount(gone_lane, minlength=n_lanes)
         f_lane = f_lane[keep]
         f_job = f_job[keep]
         f_tid = f_tid[keep]
         f_rem = f_rem[keep]
         f_floor = f_floor[keep]
-        if net_dec.any():
-            for l in np.nonzero(net_dec)[0].tolist():
-                nnet[l] -= int(net_dec[l])
-                update_caps(l)
         return gone_lane, gone_job
 
     def merge_pending() -> None:
@@ -1118,9 +1201,10 @@ def _run_flat(
             lane.pend_tids = []
             lane.pend_jobs = []
             if lane.n_net:
-                nnet[l] += lane.n_net
+                if lossy[l]:
+                    nnet[l] += lane.n_net
+                    update_caps(l)
                 lane.n_net = 0
-                update_caps(l)
         has_pend[:] = False
         added = np.zeros(n_lanes, dtype=np.int64)
         added[pending] = sizes
@@ -1148,16 +1232,58 @@ def _run_flat(
         f_rem = splice(f_rem, universe.volume[new_tid], np.float64)
         f_floor = splice(f_floor, universe.floor[new_tid], np.float64)
 
-    def allocate(n_flows: int) -> np.ndarray:
-        """Phase C: max-min fair rates for every live flow of every lane,
-        from demand entries gathered here (flow-major, each template's
-        rows in demand-insertion order), so none outlives the call."""
-        counts, row = _ragged(universe.offset, universe.count, f_tid)
+    def allocate(sl: np.ndarray, flow_off: np.ndarray) -> np.ndarray:
+        """Phase C: max-min fair rates for every live flow of every lane
+        in ``sl`` (the lanes with flows).  Each lane's live template ids
+        are looked up in its memo; only the lanes that miss are
+        allocated, in one call over their flows and resource blocks."""
+        # 32-bit ids halve the stored keys; every key has the same width
+        keys = f_tid.astype(np.int32).tobytes()
+        bounds = (flow_off * 4).tolist()
+        parts: list[bytes | None] = []
+        #: (lane, its index in parts, its key) of every lane that missed
+        missed: list[tuple[int, int, bytes]] = []
+        for l in sl.tolist():
+            key = keys[bounds[l] : bounds[l + 1]]
+            rates = memos[l].get(key)
+            if rates is None:
+                missed.append((l, len(parts), key))
+            parts.append(rates)
+        if missed:
+            fresh = allocate_lanes(
+                np.array([l for l, _, _ in missed], dtype=np.int64), flow_off
+            ).tobytes()
+            end = 0
+            for l, at, key in missed:
+                start, end = end, end + 2 * len(key)  # 8-byte rates, 4-byte ids
+                rates = parts[at] = fresh[start:end]
+                memo = memos[l]
+                if len(memo) >= _LANE_MEMO_CAP:
+                    memo.clear()
+                memo[key] = rates
+                lane_allocations[l] += 1
+        return np.frombuffer(b"".join(parts))
+
+    def allocate_lanes(missed: np.ndarray, flow_off: np.ndarray) -> np.ndarray:
+        """Max-min fair rates for the flows of the ``missed`` lanes, in
+        lane order, from demand entries gathered here (flow-major, each
+        template's rows in demand-insertion order), so none outlives the
+        call.  The allocator sees only those lanes, renumbered 0..m-1,
+        with their capacity blocks compacted in the same order."""
+        m = missed.shape[0]
+        counts, flows = _ragged(flow_off, flow_count, missed)
+        n_flows = flows.shape[0]
+        res_counts_m, res_rows = _ragged(res_off, res_counts, missed)
+        block_off = _offsets(res_counts_m)
+        lane_of_flow = np.repeat(np.arange(m), counts)
+        tids = f_tid[flows]
+        del flows
+        counts, row = _ragged(universe.offset, universe.count, tids)
         entries = [
             np.repeat(np.arange(n_flows), counts), universe.res[row], universe.coef[row]
         ]
         del row
-        entries[1] += np.repeat(res_off[f_lane], counts)
+        entries[1] += np.repeat(block_off[lane_of_flow], counts)
         # Popped into the call, so the allocator holds the only references
         # and frees each array when it first compacts it: entry-sized
         # arrays are what the loop's peak memory is made of.
@@ -1165,13 +1291,13 @@ def _run_flat(
             entries.pop(0),
             entries.pop(0),
             entries.pop(0),
-            f_lane,
-            lane_of_res,
-            res_off,
-            caps,
-            sat,
+            lane_of_flow,
+            np.repeat(np.arange(m), res_counts_m),
+            block_off,
+            caps[res_rows],
+            sat[res_rows],
             n_flows,
-            n_lanes,
+            m,
         )
 
     def cpu_rates(rates: np.ndarray) -> np.ndarray:
@@ -1217,6 +1343,7 @@ def _run_flat(
             has_pend[l] = bool(lane.pend_tids)
             if not alive:
                 active[l] = False
+                drop_memo(l)
             starts = lane.shared.starts
             h = starts[lane.cursor] if lane.cursor < len(starts) else math.inf
             if nodes is not None:
@@ -1274,11 +1401,13 @@ def _run_flat(
                 attention = active.copy()
                 continue
 
-        # -- phase C: one max-min fair allocation across every lane
+        # -- phase C: max-min fair rates for every lane, allocated only
+        # where the lane's memo misses
         n_flows = f_rem.shape[0]
         iterations += 1
         flow_steps += n_flows
-        rates = allocate(n_flows)
+        flow_off = _offsets(flow_count)
+        rates = allocate(sl, flow_off)
 
         # -- phase D: per-node CPU rates -> utilization -> watts
         node_cpu = cpu_rates(rates)
@@ -1309,7 +1438,6 @@ def _run_flat(
 
         # -- phase E: advance every lane to its own next event; a lane
         # that stalls fails and steps by zero
-        flow_off = _offsets(flow_count)
         ratio = np.divide(
             f_rem, rates, out=np.full(n_flows, np.inf), where=rates > 0
         )
@@ -1392,6 +1520,9 @@ def _run_flat(
         # like the serial loop, a run that raises reports nothing
         telemetry.count("sim.multiplex.iterations", iterations)
         telemetry.count("sim.multiplex.flow_steps", flow_steps)
+        telemetry.count(
+            "sim.multiplex.allocations", sum(lane_allocations[l] for l in finished)
+        )
         telemetry.count("sim.events", int(events[finished].sum()))
         faulted = [lanes[l].nodes for l in finished if lanes[l].nodes is not None]
         if faulted:

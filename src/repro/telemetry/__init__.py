@@ -41,8 +41,13 @@ What gets recorded (when enabled):
   per event), control-tick counters (``sim.control.*``,
   runs with a dynamic policy), fault accounting (``sim.faults.*``, runs
   with a non-empty fault schedule; the multiplexed loop adds its lanes'
-  totals once per batch), and the multiplexed loop's iteration
-  and allocation-kernel batch-size counters (``sim.multiplex.*``);
+  totals once per batch), and the multiplexed loop's counters
+  (``sim.multiplex.*``): ``runs`` and ``lanes`` per call, and per batch
+  ``iterations``, ``flow_steps`` (live flows summed over iterations) and
+  ``allocations`` (the lane allocations the flat loop computed: misses
+  of its per-lane memos, a failed lane's left out, so
+  ``sim.multiplex.allocations / sim.multiplex.iterations`` is the number
+  of lanes allocated per iteration);
 * ``Study.report()`` renders the registry,
   :func:`repro.analysis.export.telemetry_to_json` persists it next to a
   benchmark's ``BENCH_*.json``.

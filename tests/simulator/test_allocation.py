@@ -1,11 +1,17 @@
 """Max-min fair allocation (progressive filling)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simulator.allocation import max_min_fair_allocation, max_min_fair_rates
+from repro.simulator.allocation import (
+    _EPSILON,
+    max_min_fair_allocation,
+    max_min_fair_rates,
+    max_min_fair_rates_flat,
+)
 
 
 def test_single_flow_gets_bottleneck_rate():
@@ -158,3 +164,68 @@ def test_property_every_flow_touches_a_saturated_resource(case):
         assert any(
             usage[r] >= resources[r] * (1 - 1e-6) for r in demand
         ), "a flow could still be increased"
+
+
+@st.composite
+def block_diagonal(draw):
+    """One to four independent lanes, each a :func:`scenario`; a lane may
+    have no flows."""
+    lanes = draw(st.lists(scenario(), min_size=1, max_size=4))
+    return [
+        ([] if draw(st.booleans()) and len(lanes) > 1 else demands, resources)
+        for demands, resources in lanes
+    ]
+
+
+def flat_rates(lanes) -> np.ndarray:
+    """:func:`max_min_fair_rates_flat` over ``lanes`` as one block-diagonal
+    system: each lane's resources form one block, in lane order, and its
+    flows' entries are flow-major, in demand-insertion order."""
+    entry_flow, entry_res, entry_coef, lane_of_flow, lane_of_res, capacities = (
+        [], [], [], [], [], []
+    )
+    res_offsets = [0]
+    for lane, (demands, resources) in enumerate(lanes):
+        local = {name: k for k, name in enumerate(resources)}
+        for demand in demands:
+            for name, coef in demand.items():
+                entry_flow.append(len(lane_of_flow))
+                entry_res.append(res_offsets[-1] + local[name])
+                entry_coef.append(coef)
+            lane_of_flow.append(lane)
+        capacities += resources.values()
+        lane_of_res += [lane] * len(resources)
+        res_offsets.append(len(capacities))
+    capacities = np.array(capacities)
+    return max_min_fair_rates_flat(
+        np.array(entry_flow, dtype=np.int64),
+        np.array(entry_res, dtype=np.int64),
+        np.array(entry_coef, dtype=np.float64),
+        np.array(lane_of_flow, dtype=np.int64),
+        np.array(lane_of_res, dtype=np.int64),
+        np.array(res_offsets, dtype=np.int64),
+        capacities,
+        _EPSILON * np.maximum(1.0, capacities),
+        len(lane_of_flow),
+        len(lanes),
+    )
+
+
+@given(block_diagonal(), st.data())
+def test_flat_lanes_are_independent(lanes, data):
+    """Each lane of a block-diagonal system gets the bits the scalar
+    allocator gives it alone, and a call over any subset of the lanes,
+    their blocks compacted, gives those lanes the same bits again: what
+    the multiplexed loop's allocation memo relies on."""
+    rates = flat_rates(lanes)
+    bounds = np.cumsum([0] + [len(demands) for demands, _ in lanes])
+    alone = [rates[bounds[l] : bounds[l + 1]].tobytes() for l in range(len(lanes))]
+    for (demands, resources), got in zip(lanes, alone):
+        expected, _ = max_min_fair_allocation(demands, resources)
+        assert got == np.array(expected, dtype=np.float64).tobytes()
+    subset = data.draw(
+        st.lists(st.integers(0, len(lanes) - 1), min_size=1, unique=True).map(sorted)
+    )
+    assert flat_rates([lanes[l] for l in subset]).tobytes() == b"".join(
+        alone[l] for l in subset
+    )

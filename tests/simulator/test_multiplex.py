@@ -5,11 +5,14 @@
 ``ClusterSimulator.run`` alone — every comparison here is exact ``==``,
 never approx.  The generators deliberately cover what the flat fast path
 has to get right: mixed beefy/wimpy clusters of different sizes in one
-batch, network flows under a lossy switch (efficiency rescaling),
-multi-phase jobs (barriers), staggered arrivals (idle gaps and admission
-ties), and lanes finishing at different times.  Under a fault schedule
-the same holds for every degraded field: crashes with and without
-recovery, stragglers, network degrades, retries with jitter, and drops.
+batch, network flows under a lossy switch (efficiency rescaling) beside
+lanes on an ideal one (the constant capacity blocks every search
+evaluator's lanes have), multi-phase jobs (barriers), staggered arrivals
+(idle gaps and admission ties), and lanes finishing at different times.
+Under a fault schedule the same holds for every degraded field: crashes
+with and without recovery, stragglers, network degrades, retries with
+jitter, and drops.  Replayed jobs make live sets recur, so the loop's
+allocation memo serves them, under one capacity state and under several.
 """
 
 import copy
@@ -35,11 +38,13 @@ from repro.hardware.node import NodeSpec
 from repro.hardware.power import IdlePeakModel, PowerLawModel
 from repro.hardware.powerstate import PowerStateModel
 from repro.pstore.replication import ReplicatedLayout
+from repro.simulator import multiplex
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.jobs import FlowSpec, Job, Phase
 from repro.simulator.multiplex import run_multiplexed
-from repro.simulator.network import SMC_GS5_SWITCH
+from repro.simulator.network import IDEAL_SWITCH, SMC_GS5_SWITCH
 from repro.simulator.resources import cpu, disk, nic_in, nic_out
+from repro.telemetry import capture
 
 BEEFY = NodeSpec(
     name="beefy",
@@ -101,10 +106,19 @@ def assert_identical(got, oracle):
     assert got.intervals == oracle.intervals
 
 
-def oracle_run(cluster, jobs, record):
-    return ClusterSimulator(
-        cluster, switch=SMC_GS5_SWITCH, record_intervals=record
-    ).run(jobs)
+def oracle_run(cluster, jobs, record, switch=SMC_GS5_SWITCH):
+    return ClusterSimulator(cluster, switch=switch, record_intervals=record).run(jobs)
+
+
+#: a lossy switch, whose lanes' capacity blocks follow their network-flow
+#: count, and an ideal one, whose lanes' blocks never change
+SWITCHES = (IDEAL_SWITCH, SMC_GS5_SWITCH)
+
+
+def switches_for(data, lanes) -> list:
+    return data.draw(
+        st.lists(st.sampled_from(SWITCHES), min_size=len(lanes), max_size=len(lanes))
+    )
 
 
 def with_twins(lanes, twins):
@@ -127,9 +141,10 @@ def with_twins(lanes, twins):
 @given(st.lists(lane_jobs(), min_size=1, max_size=4), st.data())
 def test_multiplexed_matches_serial(lanes, data):
     """A whole batch reproduces each lane's solo serial run bit for bit,
-    with recording and interval-free lanes mixed in one call, and with
-    twins: lanes of other job lists and node counts whose flows share
-    the batch-global template ids of their originals'."""
+    with recording and interval-free lanes mixed in one call, lanes on
+    an ideal and a lossy switch side by side, and twins: lanes of other
+    job lists and node counts whose flows share the batch-global
+    template ids of their originals'."""
     lanes = with_twins(
         lanes,
         data.draw(
@@ -137,19 +152,15 @@ def test_multiplexed_matches_serial(lanes, data):
         ),
     )
     records = data.draw(st.lists(st.booleans(), min_size=len(lanes), max_size=len(lanes)))
+    switches = switches_for(data, lanes)
     runs = [
-        (
-            ClusterSimulator(
-                cluster, switch=SMC_GS5_SWITCH, record_intervals=record
-            ),
-            jobs,
-        )
-        for (cluster, jobs), record in zip(lanes, records)
+        (ClusterSimulator(cluster, switch=switch, record_intervals=record), jobs)
+        for (cluster, jobs), record, switch in zip(lanes, records, switches)
     ]
     results = run_multiplexed(runs)
     assert len(results) == len(lanes)
-    for (cluster, jobs), record, got in zip(lanes, records, results):
-        assert_identical(got, oracle_run(cluster, jobs, record))
+    for (cluster, jobs), record, switch, got in zip(lanes, records, switches, results):
+        assert_identical(got, oracle_run(cluster, jobs, record, switch))
 
 
 @settings(max_examples=25, deadline=None)
@@ -386,20 +397,23 @@ def assert_same_run(got, oracle):
     assert dataclasses.asdict(got) == dataclasses.asdict(oracle)
 
 
-def flat_runs(lanes):
+def flat_runs(lanes, switches=None):
+    if switches is None:
+        switches = [SMC_GS5_SWITCH] * len(lanes)
     return [
-        (ClusterSimulator(cluster, switch=SMC_GS5_SWITCH, record_intervals=False), jobs)
-        for cluster, jobs in lanes
+        (ClusterSimulator(cluster, switch=switch, record_intervals=False), jobs)
+        for (cluster, jobs), switch in zip(lanes, switches)
     ]
 
 
 @settings(max_examples=60, deadline=None)
-@given(faulted_lanes, fault_schedules(), st.sampled_from(FAILURE_POLICIES))
-def test_faulted_batch_matches_serial(lanes, faults, failure_policy):
-    """Lanes of different sizes share one schedule; each lane equals its
-    serial faulted run field by field, and a lane whose serial run raises
-    holds that message in its slot while its batchmates finish."""
-    runs = flat_runs(lanes)
+@given(faulted_lanes, fault_schedules(), st.sampled_from(FAILURE_POLICIES), st.data())
+def test_faulted_batch_matches_serial(lanes, faults, failure_policy, data):
+    """Lanes of different sizes share one schedule, each on an ideal or
+    a lossy switch; each lane equals its serial faulted run field by
+    field, and a lane whose serial run raises holds that message in its
+    slot while its batchmates finish."""
+    runs = flat_runs(lanes, switches_for(data, lanes))
     options = {"faults": faults, "failure_policy": failure_policy}
     oracles = [serial_outcome(sim, jobs, **options) for sim, jobs in runs]
     got = multiplexed_outcome(runs, **options)
@@ -619,3 +633,115 @@ def test_serial_pins_replay_through_the_loop():
             pin = pins._pin(result)
         key = f"s{i}/faults/plain"
         assert json.loads(json.dumps(pin)) == fixture[key], key
+
+
+# ------------------------------------------------------ allocation memo
+#: a straggler window, then a network degrade, each ending while the
+#: replays below go on: live sets run before a window recur inside it
+#: (another capacity state) and after it (the first state again)
+MEMO_FAULTS = FaultSchedule(
+    events=(
+        Straggler(node=0, at_s=2.05, slowdown=0.5, duration_s=2.0),
+        NetworkDegrade(factor=0.5, at_s=5.05, duration_s=2.0),
+    )
+)
+
+
+def _replay_lanes():
+    """Lanes of one to three nodes, each replaying one job every 0.45 s
+    for 8 s: a scan on every node, then (on two or more nodes) a shuffle
+    to each node's neighbour.  Replays overlap, so every lane runs
+    through the same live sets again and again."""
+    lanes = []
+    for cluster in (
+        ClusterSpec.homogeneous(BEEFY, 1),
+        ClusterSpec.beefy_wimpy(BEEFY, 1, WIMPY, 1),
+        ClusterSpec.homogeneous(WIMPY, 3),
+    ):
+        n = cluster.num_nodes
+        phases = [
+            Phase(
+                "scan",
+                tuple(
+                    FlowSpec(f"s{node}", 60.0, {cpu(node): 1.0, disk(node): 1.0})
+                    for node in range(n)
+                ),
+            )
+        ]
+        if n > 1:
+            phases.append(
+                Phase(
+                    "ship",
+                    tuple(
+                        FlowSpec(
+                            f"x{node}",
+                            20.0,
+                            {cpu(node): 0.1, nic_out(node): 1.0, nic_in((node + 1) % n): 1.0},
+                        )
+                        for node in range(n)
+                    ),
+                )
+            )
+        jobs = [
+            Job(name=f"q{i}", phases=tuple(phases), start_time_s=0.45 * i)
+            for i in range(18)
+        ]
+        lanes.append((cluster, jobs))
+    return lanes
+
+
+def _live_sets_by_window(cluster, jobs, switch):
+    """The live sets (flow names in live order) of the serial run's
+    intervals, by the window of :data:`MEMO_FAULTS` they start in."""
+    recorded = ClusterSimulator(cluster, switch=switch, record_intervals=True).run(
+        jobs, faults=MEMO_FAULTS, failure_policy=FAILURE_POLICIES[0]
+    )
+    windows: dict[str, set] = {"none": set(), "straggler": set(), "degrade": set()}
+    for interval in recorded.intervals:
+        if not interval.flow_names:
+            continue
+        t = interval.start_s
+        window = "straggler" if 2.05 <= t < 4.05 else "degrade" if 5.05 <= t < 7.05 else "none"
+        windows[window].add(interval.flow_names)
+    return windows
+
+
+@pytest.mark.parametrize("faults", [None, MEMO_FAULTS], ids=["healthy", "straggler-degrade"])
+def test_recurring_live_sets_match_serial_at_any_memo_cap(faults, monkeypatch):
+    """Replayed jobs bring live sets back, under one capacity state or,
+    with the straggler and the degrade, under several.  Every lane, on
+    either switch, equals its serial run, and still does when each memo
+    holds only one or two live sets before it is cleared: the loop then
+    computes more allocations and returns the same bits."""
+    lanes = _replay_lanes()
+    switches = [switch for switch in SWITCHES for _ in lanes]
+    lanes = lanes * len(SWITCHES)
+    if faults is not None:
+        # the batch does what it is for: one live set runs inside each
+        # window and outside every window
+        by_window = [
+            _live_sets_by_window(cluster, jobs, switch)
+            for (cluster, jobs), switch in zip(lanes, switches)
+        ]
+        for window in ("straggler", "degrade"):
+            assert any(sets["none"] & sets[window] for sets in by_window), window
+    options = {} if faults is None else {
+        "faults": faults, "failure_policy": FAILURE_POLICIES[0]
+    }
+    runs = flat_runs(lanes, switches)
+    oracles = [sim.run(jobs, **options) for sim, jobs in runs]
+
+    def allocations_and_results():
+        with capture() as telemetry:
+            results = run_multiplexed(runs, **options)
+        return telemetry.counter("sim.multiplex.allocations"), results
+
+    computed, results = allocations_and_results()
+    for got, oracle in zip(results, oracles):
+        assert_same_run(got, oracle)
+    for cap in (1, 2):
+        monkeypatch.setattr(multiplex, "_LANE_MEMO_CAP", cap)
+        recomputed, capped = allocations_and_results()
+        assert recomputed > computed
+        for got, oracle in zip(capped, oracles):
+            assert_same_run(got, oracle)
