@@ -22,19 +22,17 @@ scalar event loop statement for statement.  The serial engine is the
 *oracle*; ``tests/simulator/test_multiplex.py`` property-tests the
 equivalence.
 
-Two further consequences of lane independence: results do not depend on
+A further consequence of lane independence: results do not depend on
 how lanes are grouped into batches (multiplexing ``[a, b, c]`` equals
-``[a]`` then ``[b, c]``), and a lane that records intervals can ride the
-same entry point (it is routed to a per-lane loop that obtains bottleneck
-bindings from the scalar allocator).
+``[a]`` then ``[b, c]``).  Every run is interval-free; a run that records
+intervals is the serial loop's to replay (see :func:`run_multiplexed`).
 
 Flat state layout
 -----------------
-Interval-free lanes — the design-search workload — keep *no* per-lane
-flow objects at all, and the loop keeps only per-flow state: five global
-arrays (owning lane, job, template id, remaining volume, completion
-floor), lane-contiguous and in the scalar engine's live-list order
-(survivors first, admissions appended).
+Lanes keep *no* per-lane flow objects at all, and the loop keeps only
+per-flow state: five global arrays (owning lane, job, template id,
+remaining volume, completion floor), lane-contiguous and in the scalar
+engine's live-list order (survivors first, admissions appended).
 
 Everything entry-sized comes from one *template universe* per
 :func:`run_multiplexed` call.  Every distinct flow template of the
@@ -69,7 +67,7 @@ and the demanded-node memo.
 Allocation memo
 ---------------
 A trace replays a few query templates many times, so a lane keeps
-running through live sets it has already allocated.  Every flat lane
+running through live sets it has already allocated.  Every lane
 therefore keeps a memo from its live set to its rates, and phase C
 allocates only the lanes whose live set misses it.
 
@@ -179,13 +177,13 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power import MIN_UTILIZATION
 from repro.simulator.allocation import (
     _EPSILON,
-    max_min_fair_allocation,
+    # unused here: benchmarks/perf/layers.py still wraps this attribute
+    max_min_fair_allocation,  # noqa: F401
     max_min_fair_rates_flat,
 )
 from repro.simulator.engine import (
     _COMPLETION_EPS,
     ClusterSimulator,
-    Interval,
     NodeStates,
     SimulationResult,
 )
@@ -321,18 +319,6 @@ class _Universe:
         self._size = len(self.specs)
 
 
-class _State:
-    """Memoized allocation outcome for one live-template composition."""
-
-    __slots__ = ("rates", "powers", "utils", "bindings")
-
-    def __init__(self, rates, powers, utils, bindings=None):
-        self.rates = rates
-        self.powers = powers
-        self.utils = utils
-        self.bindings = bindings
-
-
 class _JobIndex:
     """What every lane replaying one job list on one node count shares.
 
@@ -371,12 +357,10 @@ class _JobIndex:
 class _Lane:
     """Per-run simulation state, mirroring the scalar engine's locals.
 
-    Interval-free lanes use only the scalar-control-flow half (admission
-    order, phase barriers, job bookkeeping) — their flow state lives in
-    :func:`_run_flat`'s global arrays.  Recording lanes additionally keep
-    per-lane live arrays for the interval path.  A faulted lane carries
-    the serial loop's :class:`~repro.simulator.engine.NodeStates` in
-    ``nodes``.
+    A lane keeps the scalar control flow (admission order, phase
+    barriers, job bookkeeping, idle gaps); its flow state lives in
+    :func:`_run_flat`'s global arrays.  A faulted lane carries the serial
+    loop's :class:`~repro.simulator.engine.NodeStates` in ``nodes``.
     """
 
     __slots__ = (
@@ -385,7 +369,6 @@ class _Lane:
         "pool",
         "shared",
         "jobs",
-        "record",
         "n_nodes",
         "base_caps",
         "net_mask",
@@ -400,21 +383,11 @@ class _Lane:
         "phase_live_count",
         "job_start",
         "job_completion",
-        "live_tid",
-        "live_job",
         "pend_tids",
         "pend_jobs",
-        "keep",
-        "appended",
         "n_net",
-        "events",
-        "intervals",
         "eview",
-        "state_memo",
-        "power_memo",
         "idle_memo",
-        "state",
-        "dirty",
     )
 
     def __init__(self, index: int, simulator: ClusterSimulator, shared: _JobIndex):
@@ -424,7 +397,6 @@ class _Lane:
         self.pool = simulator.pool
         self.shared = shared
         self.jobs = shared.jobs
-        self.record = simulator.record_intervals
         self.n_nodes = self.pool.num_nodes
         self.base_caps = np.array(list(self.pool.capacities().values()))
         net = np.zeros(self.base_caps.shape[0], dtype=bool)
@@ -438,36 +410,22 @@ class _Lane:
         self.phase_live_count = [0] * len(self.jobs)
         self.job_start: dict[str, float] = {}
         self.job_completion: dict[str, float] = {}
-        #: flat lanes: this lane's flows in the global arrays, set by the
-        #: loop before each head; a faulted head also gets their jobs
+        #: this lane's flows in the global arrays, set by the loop before
+        #: each head; a faulted head also gets their jobs
         #: (``flow_jobs``) and marks the ones a crash kills (``killed``)
         self.n_live = 0
         self.flow_jobs: np.ndarray | None = None
         self.killed: np.ndarray | None = None
-        #: recording lanes: their live flows' template ids and jobs
-        self.live_tid = _EMPTY_I64
-        self.live_job = _EMPTY_I64
-        #: admissions not yet merged into the live arrays (flushed before
-        #: the next allocation)
+        #: admissions not yet merged into the global arrays (phase B
+        #: merges them before the next allocation)
         self.pend_tids: list[int] = []
         self.pend_jobs: list[int] = []
-        #: surviving positions of the last retirement, relative to the
-        #: matrix row laid down by the previous rebuild (None = no
-        #: retirement since then)
-        self.keep: np.ndarray | None = None
-        #: template ids appended by the last flush (for row initialisation)
-        self.appended: np.ndarray | None = None
+        #: how many of those admissions cross the network
         self.n_net = 0
-        self.events = 0
-        self.intervals: list[Interval] = []
-        #: flat lanes: view into the global node-energy array
+        #: view into the global node-energy array
         self.eview: np.ndarray | None = None
-        self.state_memo: dict[bytes, _State] = {}
-        self.power_memo: dict = {}
         #: effective factors -> (idle watts array, their sum, as a list)
         self.idle_memo: dict = {}
-        self.state: _State | None = None
-        self.dirty = True
 
     def attach_faults(self, faults, failure_policy, layout) -> None:
         """Drive this lane's nodes through the serial loop's state machine."""
@@ -504,10 +462,6 @@ class _Lane:
         self.pend_jobs.extend([job_index] * len(tids))
         self.n_net += net
         self.phase_live_count[job_index] = len(tids)
-        self.dirty = True
-
-    def has_live(self) -> bool:
-        return bool(self.live_tid.size) or bool(self.pend_tids)
 
     def live_jobs(self) -> list[int]:
         """The job of every live flow, in live order (faulted heads)."""
@@ -540,7 +494,7 @@ class _Lane:
         max_events: int,
         idle_gaps: list | None,
     ) -> tuple[float, int, bool]:
-        """The scalar loop's head for flat-batch lanes.
+        """The scalar loop's head.
 
         Fault source, admissions, idle gaps, and event counting, mirroring
         the serial engine's per-iteration order; flow state lives in the
@@ -600,43 +554,7 @@ class _Lane:
                     idle_gaps.append((self.index, t, t + gap, watts))
             t = max(t, horizon)
 
-    def advance(self, time_arr, e_matrix, max_events: int) -> bool:
-        """The scalar loop's head for recording lanes (matrix path)."""
-        lane_id = self.index
-        order = self.shared.order
-        starts = self.shared.starts
-        while True:
-            if not self.has_live() and self.cursor >= len(order):
-                return False
-            self.events += 1
-            if self.events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; simulation stalled?"
-                )
-            t = time_arr[lane_id]
-            while self.cursor < len(order) and starts[self.cursor] <= t + _COMPLETION_EPS:
-                index = order[self.cursor]
-                self.cursor += 1
-                job = self.jobs[index]
-                self.job_start[job.name] = max(float(t), job.start_time_s)
-                self._advance_job(index, 0, t)
-            if self.has_live():
-                return True
-            if self.cursor < len(order):
-                next_start = starts[self.cursor]
-                gap = next_start - t
-                self._integrate_idle(t, gap, e_matrix)
-                time_arr[lane_id] = next_start
-                continue
-            # no live flows, nothing pending: finished (detected at the top)
-
     # ------------------------------------------------------------ allocation
-    def _idle_state(self) -> _State:
-        state = self.state_memo.get(b"")
-        if state is None:
-            state = self._finish_state(b"", np.zeros(0), bindings=())
-        return state
-
     def _idle_powers(self) -> tuple[np.ndarray, float]:
         """Node watts with no flow live, and their sum node by node.
 
@@ -661,177 +579,6 @@ class _Lane:
             watts[node] = nodes.down_watts(node)
         return np.array(watts), sum(watts)
 
-    def _integrate_idle(self, t, gap, e_matrix) -> None:
-        if gap <= 0:
-            return
-        state = self._idle_state()
-        e_matrix[self.index, : self.n_nodes] += state.powers * gap
-        if self.record:
-            self.intervals.append(
-                Interval(
-                    start_s=float(t),
-                    end_s=float(t + gap),
-                    node_utilization=tuple(state.utils),
-                    node_power_w=tuple(state.powers.tolist()),
-                    flow_names=(),
-                    flow_bindings=(),
-                    flow_jobs=(),
-                )
-            )
-
-    def flush(self) -> None:
-        """Merge buffered admissions into the live arrays (append order)."""
-        if not self.pend_tids:
-            self.appended = None
-            return
-        self.shared.universe.ensure()
-        new = np.array(self.pend_tids, dtype=np.int64)
-        self.live_tid = np.concatenate([self.live_tid, new])
-        self.live_job = np.concatenate(
-            [self.live_job, np.array(self.pend_jobs, dtype=np.int64)]
-        )
-        self.appended = new
-        self.pend_tids = []
-        self.pend_jobs = []
-
-    def state_key(self) -> bytes:
-        return self.live_tid.tobytes()
-
-    def allocate_scalar(self) -> _State:
-        """Scalar-allocator path (interval-recording lanes need bindings)."""
-        capacities = self.pool.capacities()
-        efficiency = self.sim.switch.efficiency(self.n_net)
-        if efficiency < 1.0:
-            for name in capacities:
-                if self.pool.is_network(name):
-                    capacities[name] *= efficiency
-        specs = self.shared.universe.specs
-        rates, bindings = max_min_fair_allocation(
-            [specs[t].demands for t in self.live_tid.tolist()],
-            capacities,
-        )
-        return self._finish_state(
-            self.state_key(), np.array(rates), bindings=bindings
-        )
-
-    def _finish_state(self, key: bytes, rates, bindings=None) -> _State:
-        """Derive per-node powers from rates, memoize, and return."""
-        cpu_rates = self._cpu_rates(rates)
-        n = self.n_nodes
-        utils = [0.0] * n
-        powers = np.empty(n)
-        memo = self.power_memo
-        specs = self.node_specs
-        for node_id, cpu_rate in enumerate(cpu_rates):
-            hit = memo.get((node_id, cpu_rate))
-            if hit is None:
-                spec = specs[node_id]
-                util = spec.utilization(cpu_rate)
-                watts = spec.power_model.power(util)
-                hit = (util, watts)
-                memo[(node_id, cpu_rate)] = hit
-            utils[node_id] = hit[0]
-            powers[node_id] = hit[1]
-        state = _State(
-            rates=np.asarray(rates),
-            powers=powers,
-            utils=utils,
-            bindings=bindings,
-        )
-        self.state_memo[key] = state
-        return state
-
-    def _cpu_rates(self, rates) -> list[float]:
-        """Per-node CPU demand, accumulated in the scalar engine's order
-        (flow-major, demand-insertion order within each flow)."""
-        universe = self.shared.universe
-        counts, row = _ragged(universe.cpu_offset, universe.cpu_count, self.live_tid)
-        return np.bincount(
-            universe.cpu_node[row],
-            weights=universe.cpu_coef[row] * np.repeat(np.asarray(rates), counts),
-            minlength=self.n_nodes,
-        ).tolist()
-
-    # ------------------------------------------------------------ transitions
-    def after_step(self, dt, pre_t, now_t, done_row) -> None:
-        """The scalar loop's tail: record the interval, retire finished
-        flows, release phase barriers."""
-        universe = self.shared.universe
-        if self.record and dt > 0:
-            state = self.state
-            tids = self.live_tid.tolist()
-            self.intervals.append(
-                Interval(
-                    start_s=float(pre_t),
-                    end_s=float(pre_t + dt),
-                    node_utilization=tuple(state.utils),
-                    node_power_w=tuple(state.powers.tolist()),
-                    flow_names=tuple(universe.specs[t].name for t in tids),
-                    flow_bindings=tuple(state.bindings),
-                    flow_jobs=tuple(
-                        self.jobs[j].name for j in self.live_job.tolist()
-                    ),
-                )
-            )
-        done_k = done_row[: self.live_tid.size]
-        if not done_k.any():
-            return
-        keep = ~done_k
-        finished_jobs = self.live_job[done_k].tolist()
-        self.n_net -= int(universe.has_net[self.live_tid[done_k]].sum())
-        self.live_tid = self.live_tid[keep]
-        self.live_job = self.live_job[keep]
-        self.keep = keep
-        self.dirty = True
-        for index in finished_jobs:
-            self.phase_live_count[index] -= 1
-        for index in sorted(set(finished_jobs)):
-            if self.phase_live_count[index] == 0 and self.job_phase[index] is not None:
-                self._advance_job(index, self.job_phase[index] + 1, now_t)
-
-    def rebuild_row(self, rate_m, rem_m, floor_m, power_m) -> None:
-        """Refresh this lane's matrix rows after a live-set change.
-
-        Surviving flows carry their decremented volumes over from the old
-        row (gathered by position); appended flows start at their
-        template volume."""
-        row = self.index
-        k = self.live_tid.size
-        n_new = 0 if self.appended is None else self.appended.size
-        survivors = k - n_new
-        if self.keep is not None:
-            old_rem = rem_m[row, : self.keep.size][self.keep]
-            old_floor = floor_m[row, : self.keep.size][self.keep]
-        else:
-            old_rem = rem_m[row, :survivors].copy()
-            old_floor = floor_m[row, :survivors].copy()
-        rem_m[row] = np.inf
-        rem_m[row, :survivors] = old_rem
-        floor_m[row] = -np.inf
-        floor_m[row, :survivors] = old_floor
-        if n_new:
-            universe = self.shared.universe
-            rem_m[row, survivors:k] = universe.volume[self.appended]
-            floor_m[row, survivors:k] = universe.floor[self.appended]
-        rate_m[row] = 0.0
-        rate_m[row, :k] = self.state.rates
-        power_m[row, : self.n_nodes] = self.state.powers
-        self.keep = None
-        self.appended = None
-        self.dirty = False
-
-    def finalize(self, time_arr, e_matrix) -> SimulationResult:
-        node_energy = e_matrix[self.index, : self.n_nodes].tolist()
-        return SimulationResult(
-            makespan_s=float(time_arr[self.index]),
-            energy_j=sum(node_energy),
-            node_energy_j=tuple(node_energy),
-            job_start_s=self.job_start,
-            job_completion_s=self.job_completion,
-            intervals=self.intervals,
-        )
-
-
 def run_multiplexed(
     runs: Sequence[tuple[ClusterSimulator, Sequence[Job]]],
     max_events: int = 1_000_000,
@@ -846,7 +593,7 @@ def run_multiplexed(
     bit-identical to ``simulator.run(jobs, max_events=max_events)`` run
     serially (see the module docstring for why).
 
-    Errors are isolated per run.  An interval-free run that would raise
+    Errors are isolated per run.  A run that would raise
     :class:`~repro.errors.SimulationError` once its loop is under way
     (replica coverage lost, every job dropped, a stall, ``max_events``
     exceeded) leaves the loop alone: its slot in the returned list holds
@@ -854,12 +601,16 @@ def run_multiplexed(
     finish.  Errors in the inputs still raise before any run starts:
     :class:`~repro.errors.ConfigurationError`, and the
     :class:`~repro.errors.SimulationError` of a run with no jobs or an
-    unknown resource.  A recording run raises its error too.
+    unknown resource.
 
-    Interval-free runs take the flat-array fast path; runs whose
-    simulator records intervals take a per-lane loop (the scalar
-    allocator supplies their bottleneck bindings).  Lane independence
-    makes the partition invisible in the results.
+    Every run must be interval-free (``record_intervals=False``).  The
+    loop keeps no per-lane flow objects, so it has no interval trace to
+    record; a batch holding a run whose simulator records intervals
+    raises :class:`~repro.errors.ConfigurationError` before any lane is
+    built, with or without a curve or faults.  Replay such a run with
+    :meth:`ClusterSimulator.run
+    <repro.simulator.engine.ClusterSimulator.run>`, which records the
+    per-interval power timeline.
 
     With a ``carbon_curve``, every result also carries ``carbon_g``: the
     run's grams of CO₂ under that curve, integrated inside the loop and
@@ -871,65 +622,42 @@ def run_multiplexed(
     ``simulator.run(jobs, faults=faults, failure_policy=failure_policy,
     layout=layouts[i])``; node indices wrap per run, and ``layouts`` is
     optional and per run (see *Fault source* above).
-
-    Only interval-free runs take a curve or faults: a recording run is
-    priced from its intervals instead, and replays faults serially, so
-    mixing either with a recording run raises
-    :class:`~repro.errors.ConfigurationError`.
     """
     if not runs:
         return []
-    recording = any(sim.record_intervals for sim, _ in runs)
-    if carbon_curve is not None and recording:
+    recording = [i for i, (sim, _) in enumerate(runs) if sim.record_intervals]
+    if recording:
         raise ConfigurationError(
-            "carbon_curve is integrated on interval-free runs only; price a "
-            "recording run from its intervals (CostModel.carbon_g_timed)"
+            f"run_multiplexed takes interval-free runs only; run {recording[0]} "
+            "records intervals: replay it with ClusterSimulator.run"
         )
     faulted = bool(getattr(faults, "events", ()))
-    if faulted and recording:
-        raise ConfigurationError(
-            "faults ride interval-free runs only; replay a recording run "
-            "under faults with ClusterSimulator.run"
-        )
     if layouts is not None and len(layouts) != len(runs):
         raise ConfigurationError(
             f"layouts must be one per run: {len(layouts)} for {len(runs)} runs"
         )
     universe = _Universe()
     indexes: dict[tuple[int, int], _JobIndex] = {}
-    flat: list[tuple[int, _Lane]] = []
-    recorded: list[tuple[int, _Lane]] = []
+    lanes: list[_Lane] = []
     for position, (sim, jobs) in enumerate(runs):
         key = (id(jobs), sim.pool.num_nodes)
         shared = indexes.get(key)
         if shared is None:
             shared = indexes[key] = _JobIndex(jobs, universe)
-        group = recorded if sim.record_intervals else flat
-        lane = _Lane(len(group), sim, shared)
+        lane = _Lane(position, sim, shared)
         if faulted:
             lane.attach_faults(
                 faults,
                 failure_policy,
                 None if layouts is None else layouts[position],
             )
-        group.append((position, lane))
-    results: list[SimulationResult | SimulationError | None] = [None] * len(runs)
-    if flat:
-        for (position, _), result in zip(
-            flat,
-            _run_flat([lane for _, lane in flat], max_events, carbon_curve, universe),
-        ):
-            results[position] = result
-    if recorded:
-        for (position, _), result in zip(
-            recorded, _run_recorded([lane for _, lane in recorded], max_events)
-        ):
-            results[position] = result
+        lanes.append(lane)
+    results = _run_flat(lanes, max_events, carbon_curve, universe)
     telemetry = get_telemetry()
     if telemetry.enabled:
         telemetry.count("sim.multiplex.runs")
         telemetry.count("sim.multiplex.lanes", len(runs))
-    return results  # type: ignore[return-value]
+    return results
 
 
 def _run_flat(
@@ -1560,112 +1288,6 @@ def _flat_result(lane: _Lane, makespan, node_energy, carbon) -> SimulationResult
         node_energy_j=tuple(energy),
         job_start_s=lane.job_start,
         job_completion_s=lane.job_completion,
-        intervals=lane.intervals,
         carbon_g=None if carbon is None else float(carbon),
         **degraded,
     )
-
-
-def _run_recorded(
-    lanes: list[_Lane], max_events: int
-) -> list[SimulationResult]:
-    """Per-lane event loop for interval-recording lanes.
-
-    Time/energy stepping is still vectorized across lanes, but each
-    lane's allocation goes through the scalar allocator (intervals need
-    bottleneck bindings) and is memoized per live-template composition.
-    """
-    n_lanes = len(lanes)
-    width = 8
-    n_max = max(lane.n_nodes for lane in lanes)
-    rate_m = np.zeros((n_lanes, width))
-    rem_m = np.full((n_lanes, width), np.inf)
-    floor_m = np.full((n_lanes, width), -np.inf)
-    power_m = np.zeros((n_lanes, n_max))
-    energy_m = np.zeros((n_lanes, n_max))
-    time_arr = np.zeros(n_lanes)
-
-    active = list(lanes)
-    iterations = 0
-    flow_steps = 0
-    while active:
-        # -- phase A: per-lane admissions and idle gaps (scalar loop head)
-        proceed = []
-        for lane in active:
-            if lane.advance(time_arr, energy_m, max_events):
-                proceed.append(lane)
-        active = proceed
-        if not active:
-            break
-
-        # -- phase B: allocation states (scalar allocator, memoized)
-        for lane in active:
-            if not lane.dirty:
-                continue
-            lane.flush()
-            state = lane.state_memo.get(lane.state_key())
-            lane.state = state if state is not None else lane.allocate_scalar()
-
-        # -- rebuild matrix rows for lanes whose live set changed
-        need = max(lane.live_tid.size for lane in active)
-        if need > width:
-            while width < need:
-                width *= 2
-            rate_m = _grow(rate_m, width, 0.0)
-            rem_m = _grow(rem_m, width, np.inf)
-            floor_m = _grow(floor_m, width, -np.inf)
-        for lane in active:
-            if lane.dirty:
-                lane.rebuild_row(rate_m, rem_m, floor_m, power_m)
-
-        # -- phase C: vectorized step across lanes
-        iterations += 1
-        flow_steps += sum(lane.live_tid.size for lane in active)
-        act = np.array([lane.index for lane in active], dtype=np.int64)
-        sub_rate = rate_m[act]
-        sub_rem = rem_m[act]
-        ratio = np.divide(
-            sub_rem,
-            sub_rate,
-            out=np.full_like(sub_rem, np.inf),
-            where=sub_rate > 0,
-        )
-        dt = ratio.min(axis=1)
-        gaps = np.array(
-            [
-                lane.shared.starts[lane.cursor] - time_arr[lane.index]
-                if lane.cursor < len(lane.shared.order)
-                else np.inf
-                for lane in active
-            ]
-        )
-        dt = np.minimum(dt, gaps)
-        bad = ~np.isfinite(dt) | (dt < 0)
-        if bad.any():
-            raise SimulationError(
-                "simulation stalled: live flows have zero rate and no "
-                "pending events"
-            )
-        pre_t = time_arr[act].copy()
-        energy_m[act] += power_m[act] * dt[:, None]
-        new_rem = sub_rem - sub_rate * dt[:, None]
-        rem_m[act] = new_rem
-        time_arr[act] += dt
-        done = new_rem <= floor_m[act]
-
-        # -- phase D: per-lane retirement and phase barriers (scalar tail)
-        for j, lane in enumerate(active):
-            lane.after_step(dt[j], pre_t[j], time_arr[lane.index], done[j])
-
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        telemetry.count("sim.multiplex.iterations", iterations)
-        telemetry.count("sim.multiplex.flow_steps", flow_steps)
-        telemetry.count("sim.events", sum(lane.events for lane in lanes))
-    return [lane.finalize(time_arr, energy_m) for lane in lanes]
-
-
-def _grow(matrix: np.ndarray, width: int, fill: float) -> np.ndarray:
-    grown = np.full((matrix.shape[0], width), fill)
-    grown[:, : matrix.shape[1]] = matrix
-    return grown

@@ -200,7 +200,7 @@ class TestSwitchContention:
 
 
 #: both entry points that validate a job list: the serial loop and one
-#: lane of the multiplexed loop
+#: lane of the multiplexed loop, which takes interval-free runs only
 RUNNERS = (
     lambda sim, jobs: sim.run(jobs),
     lambda sim, jobs: run_multiplexed([(sim, jobs)]),
@@ -211,12 +211,15 @@ class TestErrorsAndEdges:
     def test_no_jobs(self):
         for run in RUNNERS:
             with pytest.raises(SimulationError, match="no jobs"):
-                run(ClusterSimulator(cluster(1)), [])
+                run(ClusterSimulator(cluster(1), record_intervals=False), [])
 
     def test_duplicate_job_names(self):
         for run in RUNNERS:
             with pytest.raises(SimulationError, match="duplicate"):
-                run(ClusterSimulator(cluster(1)), [single_flow_job(), single_flow_job()])
+                run(
+                    ClusterSimulator(cluster(1), record_intervals=False),
+                    [single_flow_job(), single_flow_job()],
+                )
 
     def test_unknown_resource_in_flow(self):
         # The bad job follows a valid one and a replay sharing its phases,
@@ -228,7 +231,7 @@ class TestErrorsAndEdges:
             with pytest.raises(
                 SimulationError, match="job 'bad' flow 'f' references unknown resource"
             ):
-                run(ClusterSimulator(cluster(1)), [good, again, bad])
+                run(ClusterSimulator(cluster(1), record_intervals=False), [good, again, bad])
 
     def test_zero_volume_phase_completes_instantly(self):
         job = Job(

@@ -13,6 +13,8 @@ Under a fault schedule the same holds for every degraded field: crashes
 with and without recovery, stragglers, network degrades, retries with
 jitter, and drops.  Replayed jobs make live sets recur, so the loop's
 allocation memo serves them, under one capacity state and under several.
+Every run the loop takes is interval-free; a batch holding a run that
+records intervals is rejected before any lane is built.
 """
 
 import copy
@@ -121,6 +123,15 @@ def switches_for(data, lanes) -> list:
     )
 
 
+def flat_runs(lanes, switches=None):
+    if switches is None:
+        switches = [SMC_GS5_SWITCH] * len(lanes)
+    return [
+        (ClusterSimulator(cluster, switch=switch, record_intervals=False), jobs)
+        for (cluster, jobs), switch in zip(lanes, switches)
+    ]
+
+
 def with_twins(lanes, twins):
     """``lanes`` plus one twin per ``(lane, extra nodes)`` in ``twins``: a
     deep copy of the lane's jobs, whose flows equal the original's by
@@ -141,45 +152,31 @@ def with_twins(lanes, twins):
 @given(st.lists(lane_jobs(), min_size=1, max_size=4), st.data())
 def test_multiplexed_matches_serial(lanes, data):
     """A whole batch reproduces each lane's solo serial run bit for bit,
-    with recording and interval-free lanes mixed in one call, lanes on
-    an ideal and a lossy switch side by side, and twins: lanes of other
-    job lists and node counts whose flows share the batch-global
-    template ids of their originals'."""
+    in input order, with lanes of different sizes, lanes on an ideal and
+    a lossy switch side by side, and twins: lanes of other job lists and
+    node counts whose flows share the batch-global template ids of their
+    originals'."""
     lanes = with_twins(
         lanes,
         data.draw(
             st.lists(st.tuples(st.integers(0, len(lanes) - 1), st.integers(1, 2)), max_size=2)
         ),
     )
-    records = data.draw(st.lists(st.booleans(), min_size=len(lanes), max_size=len(lanes)))
     switches = switches_for(data, lanes)
-    runs = [
-        (ClusterSimulator(cluster, switch=switch, record_intervals=record), jobs)
-        for (cluster, jobs), record, switch in zip(lanes, records, switches)
-    ]
-    results = run_multiplexed(runs)
+    results = run_multiplexed(flat_runs(lanes, switches))
     assert len(results) == len(lanes)
-    for (cluster, jobs), record, switch, got in zip(lanes, records, switches, results):
-        assert_identical(got, oracle_run(cluster, jobs, record, switch))
+    for (cluster, jobs), switch, got in zip(lanes, switches, results):
+        assert_identical(got, oracle_run(cluster, jobs, False, switch))
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(lane_jobs(), min_size=2, max_size=4), st.data())
-def test_batch_composition_independence(lanes, data):
+@given(st.lists(lane_jobs(), min_size=2, max_size=4))
+def test_batch_composition_independence(lanes):
     """How lanes are grouped into batches must not change any result."""
-    records = [data.draw(st.booleans()) for _ in lanes]
-
-    def sim(i):
-        return ClusterSimulator(
-            lanes[i][0], switch=SMC_GS5_SWITCH, record_intervals=records[i]
-        )
-
-    together = run_multiplexed([(sim(i), lanes[i][1]) for i in range(len(lanes))])
+    together = run_multiplexed(flat_runs(lanes))
     split = len(lanes) // 2
-    apart = run_multiplexed(
-        [(sim(i), lanes[i][1]) for i in range(split)]
-    ) + run_multiplexed(
-        [(sim(i), lanes[i][1]) for i in range(split, len(lanes))]
+    apart = run_multiplexed(flat_runs(lanes[:split])) + run_multiplexed(
+        flat_runs(lanes[split:])
     )
     for got, ref in zip(together, apart):
         assert_identical(got, ref)
@@ -210,68 +207,8 @@ def test_carbon_matches_interval_pricing(lanes, curve):
         assert_identical(got, oracle_run(cluster, jobs, False))
 
 
-def test_carbon_curve_needs_interval_free_runs():
-    """A recording run is priced from its intervals, never by the loop."""
-    cluster = ClusterSpec.homogeneous(BEEFY, 1)
-    job = Job(
-        name="j",
-        phases=(Phase("p", (FlowSpec("f", 50.0, {cpu(0): 1.0}),)),),
-    )
-    with pytest.raises(ConfigurationError, match="interval-free"):
-        run_multiplexed(
-            [(ClusterSimulator(cluster, record_intervals=True), [job])],
-            carbon_curve=CarbonIntensityCurve(slots=(100.0,), period_s=10.0),
-        )
-
-
 def test_empty_batch():
     assert run_multiplexed([]) == []
-
-
-def test_mixed_recording_in_one_batch():
-    """Recording and non-recording lanes ride one call, results in order."""
-    lanes = [
-        (ClusterSpec.homogeneous(BEEFY, 1), None),
-        (ClusterSpec.beefy_wimpy(BEEFY, 1, WIMPY, 1), None),
-        (ClusterSpec.homogeneous(WIMPY, 2), None),
-    ]
-    jobs = [
-        Job(
-            name="j",
-            phases=(
-                Phase(
-                    "p",
-                    tuple(
-                        FlowSpec(
-                            f"f{node}",
-                            50.0 * (node + 1),
-                            {cpu(node): 1.0, disk(node): 1.0},
-                        )
-                        for node in range(n)
-                    ),
-                ),
-            ),
-            start_time_s=1.5,
-        )
-        for n in (1, 2, 2)
-    ]
-    records = [False, True, False]
-    results = run_multiplexed(
-        [
-            (
-                ClusterSimulator(
-                    cluster, switch=SMC_GS5_SWITCH, record_intervals=record
-                ),
-                job,
-            )
-            for (cluster, _), job, record in zip(lanes, [[j] for j in jobs], records)
-        ]
-    )
-    for (cluster, _), job, record, got in zip(
-        lanes, [[j] for j in jobs], records, results
-    ):
-        assert_identical(got, oracle_run(cluster, job, record))
-    assert results[1].intervals and not results[0].intervals
 
 
 # ----------------------------------------------------------------- faults
@@ -395,15 +332,6 @@ def assert_same_run(got, oracle):
     """Every result field, degraded accounting included, is ``==``."""
     assert_identical(got, oracle)
     assert dataclasses.asdict(got) == dataclasses.asdict(oracle)
-
-
-def flat_runs(lanes, switches=None):
-    if switches is None:
-        switches = [SMC_GS5_SWITCH] * len(lanes)
-    return [
-        (ClusterSimulator(cluster, switch=switch, record_intervals=False), jobs)
-        for (cluster, jobs), switch in zip(lanes, switches)
-    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,14 +533,39 @@ def test_a_stalled_lane_fails_alone():
     assert_same_run(finished, healthy.run(jobs))
 
 
-def test_faults_need_interval_free_runs():
+#: batches holding a recording run (``True``): alone, under a carbon
+#: curve, under a fault schedule, and after an interval-free run
+REJECTED = {
+    "alone": ((True,), {}),
+    "carbon": ((True,), {"carbon_curve": CarbonIntensityCurve(slots=(100.0,), period_s=10.0)}),
+    "faults": (
+        (True,),
+        {"faults": FaultSchedule(events=(NodeCrash(node=1, at_s=0.1, recover_at_s=0.5),))},
+    ),
+    "mixed": ((False, True), {}),
+}
+
+
+@pytest.mark.parametrize("records, options", list(REJECTED.values()), ids=list(REJECTED))
+def test_recording_runs_are_rejected(records, options):
+    """A batch holding a run that records intervals raises one
+    ``ConfigurationError`` that points to the serial loop, whatever else
+    the batch holds.  It raises before any lane is built: ahead of the
+    job-list check (an empty job list fails it), and with nothing
+    reported by the loop."""
     cluster = ClusterSpec.homogeneous(BEEFY, 2)
-    faults = FaultSchedule(events=(NodeCrash(node=1, at_s=0.1, recover_at_s=0.5),))
-    with pytest.raises(ConfigurationError, match="interval-free"):
-        run_multiplexed(
-            [(ClusterSimulator(cluster, record_intervals=True), _scan_jobs(2, 1, 0.0))],
-            faults=faults,
-        )
+    for jobs in (_scan_jobs(2, 1, 0.0), []):
+        runs = [
+            (ClusterSimulator(cluster, record_intervals=record), jobs) for record in records
+        ]
+        with capture() as telemetry:
+            with pytest.raises(
+                ConfigurationError, match=r"interval-free.*ClusterSimulator\.run"
+            ):
+                run_multiplexed(runs, **options)
+        assert not [
+            name for name in telemetry.counters if name.startswith("sim.multiplex.")
+        ]
 
 
 def test_serial_pins_replay_through_the_loop():
