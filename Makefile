@@ -4,7 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint pytest bench bench-json search-demo profile perf perf-pairs perf-turns
+.PHONY: test lint pytest bench bench-json search-demo profile perf perf-pairs perf-turns \
+	perf-digest
 
 # Tier-1 verification: lint (when available) + the unit/integration
 # suite (benchmarks are opt-in).
@@ -78,3 +79,10 @@ perf-pairs:
 perf-turns:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		--turns $(TURNS) --seed $(SEED)
+
+# Same answers, not speed: one cold campaign per workload (WORKLOAD empty:
+# all six) in the parent and in this checkout, one sha256 per search over
+# every record field.  Exits 1 if any search differs.
+perf-digest:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --digest --seed $(SEED) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))

@@ -4,6 +4,8 @@
                                [--seed S]
     python benchmarks/pairs.py --parent REV --workload NAME --turns N
                                [--seed S]
+    python benchmarks/pairs.py --parent REV --digest [--workload NAME]
+                               [--seed S]
 
 A performance claim needs at least ten alternating pairs of runs of the
 parent commit and the change (``benchmarks/perf/README.md``).  This
@@ -29,11 +31,22 @@ per turn, the parent first in odd turns and the change first in even
 ones.  It prints each side's median and quartiles of
 ``candidates_per_s`` and how many turns the change won.  The pairs above
 stay the gate for a claim.
+
+``--digest`` checks that a change gives the same answers rather than
+timing it.  In each tree one process imports that tree's ``src`` and the
+copied ``campaigns.py``, builds every workload (or ``--workload``) at the
+seed and runs one cold campaign.  It prints one sha256 per search, taken
+over every field of every record, nested records included: floats enter
+as ``float.hex``, and a candidate as its label plus ``repr(key())``, so
+two candidate types that label and key alike digest alike.  The script
+exits 1 if any digest differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -102,6 +115,81 @@ def serve(tree: Path, workload_name: str, seed: int) -> None:
             print(json.dumps({"candidates_per_s": workload.candidates / wall}), flush=True)
 
 
+def canonical(value) -> str:
+    """A deterministic text form of one record value: floats as
+    ``float.hex``, dataclasses field by field, anything else by ``repr``."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        inner = ",".join(
+            f"{f.name}={canonical(getattr(value, f.name))}" for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({inner})"
+    return repr(value)
+
+
+def search_digest(result) -> str:
+    """sha256 over every record of one search, in order."""
+    digest = hashlib.sha256()
+    for record in result.points:
+        candidate = record.candidate
+        fields = [repr(candidate.label), repr(candidate.key())] + [
+            f"{f.name}={canonical(getattr(record, f.name))}"
+            for f in dataclasses.fields(record)
+            if f.name != "candidate"
+        ]
+        digest.update(("|".join(fields) + "\n").encode())
+    return digest.hexdigest()
+
+
+def serve_digests(tree: Path, workload_name: str | None, seed: int) -> None:
+    """One side of ``--digest``: run one cold campaign of each workload
+    from ``tree`` and print ``{workload: [digest per search]}`` as JSON."""
+    sys.path[:0] = [str(tree / "src"), str(tree / PERF)]
+    import campaigns
+    from repro.search import EvaluationCache
+
+    digests = {}
+    with tempfile.TemporaryDirectory(prefix="perf-digest-") as tmp:
+        for name in [workload_name] if workload_name else campaigns.NAMES:
+            workload = campaigns.build(name, seed)
+            path = Path(tmp) / f"{name}.sqlite" if workload.persistent else None
+            cache = EvaluationCache(path)
+            with workload.engine(cache) as engine:
+                results = campaigns.sweep(engine, workload.searches)
+            cache.close()
+            digests[name] = [search_digest(result) for result in results]
+    print(json.dumps(digests), flush=True)
+
+
+def compare_digests(trees: dict[str, Path], workload: str | None, seed: int) -> int:
+    """Digest both trees' campaigns; 1 if any search's records differ."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--digest", "--seed", str(seed)]
+    command += ["--workload", workload] * bool(workload)
+    digests = {}
+    for side, tree in trees.items():
+        done = subprocess.run(command + ["--serve", str(tree)], cwd=tree, stdout=subprocess.PIPE,
+                              text=True, env={**os.environ, **TURN_ENV})
+        if done.returncode:
+            raise RuntimeError(f"the {side} digest run exited {done.returncode}")
+        digests[side] = json.loads(done.stdout.splitlines()[-1])
+    differences = 0
+    print(f"record digests, seed {seed}:")
+    for name in digests["parent"]:
+        parent, change = digests["parent"][name], digests["change"][name]
+        if len(parent) != len(change):
+            differences += 1
+            print(f"  {name}: parent ran {len(parent)} searches, change {len(change)}")
+            continue
+        for index, (want, got) in enumerate(zip(parent, change)):
+            same = want == got
+            differences += not same
+            print(f"  {name} search {index}: {got[:16]} "
+                  f"{'same' if same else 'DIFFERS from parent ' + want[:16]}")
+    print(f"  {differences} difference(s)")
+    return 1 if differences else 0
+
+
 def take_turns(trees: dict[str, Path], workload: str, seed: int, turns: int) -> int:
     """Alternate cold campaigns between one long-lived process per tree."""
     command = [sys.executable, str(Path(__file__).resolve()), "--serve"]
@@ -154,9 +242,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", help="one workload (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--turns", type=int, help="take N turns instead of pairs")
+    parser.add_argument("--digest", action="store_true",
+                        help="compare record digests instead of timing")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.serve is not None and args.digest:
+        serve_digests(args.serve, args.workload, args.seed)
+        return 0
     if args.serve is not None:
         serve(args.serve, args.workload, args.seed)
         return 0
@@ -168,7 +261,7 @@ def main(argv=None) -> int:
         parser.error("--turns needs N >= 1 and one --workload")
 
     out_dir = OUT / f"{args.workload or 'all'}-s{args.seed}"
-    if args.turns is None:
+    if args.turns is None and not args.digest:
         if out_dir.exists():
             shutil.rmtree(out_dir)
         out_dir.mkdir(parents=True)
@@ -183,6 +276,8 @@ def main(argv=None) -> int:
             trees = {"parent": parent_tree, "change": ROOT}
             if args.turns is not None:
                 return take_turns(trees, args.workload, args.seed, args.turns)
+            if args.digest:
+                return compare_digests(trees, args.workload, args.seed)
             for pair in range(1, args.pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 print(f"pair {pair}/{args.pairs}", flush=True)

@@ -29,7 +29,7 @@ import time
 
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
-from repro.policy import PolicyCandidate, PowerGatePolicy, StaticPolicy
+from repro.policy import PowerGatePolicy, StaticPolicy
 from repro.search import (
     DesignGrid,
     DesignSpaceSearch,
@@ -161,7 +161,7 @@ def test_static_policy_rides_the_fast_path():
     bare = engine.search(SMALL_GRID, trace)
     wrapped = engine.search(
         [
-            PolicyCandidate(design=d, policy=StaticPolicy())
+            d.with_policy(StaticPolicy())
             for d in SMALL_GRID.candidate_list()
         ],
         trace,

@@ -101,7 +101,6 @@ from repro.costmodel import CarbonIntensityCurve, CostModel
 from repro.policy import (
     ControlPolicy,
     DvfsLadderPolicy,
-    PolicyCandidate,
     PolicyChain,
     PowerGatePolicy,
     StaticPolicy,
@@ -212,7 +211,6 @@ __all__ = [
     "PowerGatePolicy",
     "DvfsLadderPolicy",
     "PolicyChain",
-    "PolicyCandidate",
     # fault injection
     "FaultSchedule",
     "FaultedTrace",

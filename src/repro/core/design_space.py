@@ -26,7 +26,7 @@ from repro.hardware.node import NodeSpec
 from repro.pstore.plans import ExecutionMode
 from repro.search.cache import EvaluationCache
 from repro.search.engine import DesignSpaceSearch
-from repro.search.evaluators import CallableEvaluator, ModelEvaluator
+from repro.search.evaluators import CallableEvaluator, EvaluatedDesign, ModelEvaluator
 from repro.search.grid import DesignCandidate
 from repro.workloads.protocol import Workload, as_workload
 from repro.workloads.queries import JoinWorkloadSpec
@@ -45,6 +45,17 @@ class DesignPoint:
     time_s: float
     energy_j: float
     prediction: Prediction | None = None
+
+    @classmethod
+    def from_record(cls, evaluated: EvaluatedDesign) -> "DesignPoint":
+        """One feasible search record as a curve point."""
+        return cls(
+            label=evaluated.label,
+            cluster=evaluated.candidate.cluster(),
+            time_s=evaluated.time_s,
+            energy_j=evaluated.energy_j,
+            prediction=evaluated.prediction,
+        )
 
     @property
     def num_beefy(self) -> int:
@@ -363,13 +374,4 @@ class DesignSpaceExplorer:
     ) -> list[DesignPoint]:
         """Search the candidates and keep the feasible points, grid order."""
         result = self._search_engine().search(candidates, workload)
-        return [
-            DesignPoint(
-                label=evaluated.label,
-                cluster=evaluated.candidate.cluster(),
-                time_s=evaluated.time_s,
-                energy_j=evaluated.energy_j,
-                prediction=evaluated.prediction,
-            )
-            for evaluated in result.feasible_points
-        ]
+        return [DesignPoint.from_record(evaluated) for evaluated in result.feasible_points]

@@ -101,11 +101,6 @@ class FaultedTrace:
         return self.trace.weights_only()
 
     # ------------------------------------------------------------ faults
-    @property
-    def is_faulted(self) -> bool:
-        """Whether any fault event will actually be injected."""
-        return not self.faults.is_empty
-
     def layout_for(self, num_nodes: int) -> ReplicatedLayout | None:
         """The candidate-sized replicated layout, or ``None`` without
         replication.

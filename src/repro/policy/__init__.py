@@ -11,21 +11,21 @@ that:
   :class:`StaticPolicy` (always-on baseline), :class:`PowerGatePolicy`
   (gate a node role during idle stretches, wake on held arrivals),
   :class:`DvfsLadderPolicy` (frequency ladder against queue depth), and
-  the composable :class:`PolicyChain`;
-* :mod:`repro.policy.candidate` — :class:`PolicyCandidate`, the
-  (design x policy) pair the search stack evaluates, caches, and ranks
-  like any design point.
+  the composable :class:`PolicyChain`.
 
 The simulator honors policies through
 :meth:`~repro.simulator.engine.ClusterSimulator.run` /
 :meth:`~repro.pstore.simulated.SimulatedPStore.run_trace` (``policy=``,
-``control_interval_s=``); the search surface is
-``SearchSpace(policies=...)`` and the ``policy`` /
-``gated_node_seconds`` / ``energy_saved_j`` fields on
-:class:`~repro.search.evaluators.EvaluatedDesign`.
+``control_interval_s=``).  In the search stack a policy is one more
+field of the searched design:
+:meth:`DesignCandidate.with_policy <repro.search.grid.DesignCandidate.with_policy>`
+builds the (design x policy) point the engine evaluates, caches, and
+ranks like any other, ``SearchSpace(policies=...)`` adds the policy
+axis, and the ``policy`` / ``gated_node_seconds`` / ``energy_saved_j``
+fields on :class:`~repro.search.evaluators.EvaluatedDesign` report what
+the policy did.
 """
 
-from repro.policy.candidate import PolicyCandidate
 from repro.policy.policies import (
     ACTIVE,
     GATED,
@@ -53,7 +53,6 @@ __all__ = [
     "ControlPolicy",
     "DvfsLadderPolicy",
     "GateNode",
-    "PolicyCandidate",
     "PolicyChain",
     "PowerGatePolicy",
     "SetFrequency",

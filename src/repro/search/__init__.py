@@ -162,10 +162,11 @@ Dynamic control policies
 <repro.search.space.SearchSpace.from_grid>`) crosses every design with a
 :class:`~repro.policy.policies.ControlPolicy`, making **(design x
 policy)** the searched object: each point is a
-:class:`~repro.policy.candidate.PolicyCandidate` that quacks like a
-design candidate (label, namespaced ``key()``, cluster accessors), so
-enumeration, memoization, Pareto ranking, SLA selection, and export all
-apply unchanged.  On timed traces the evaluator replays policy-bearing
+:class:`~repro.search.grid.DesignCandidate` whose ``policy`` field is
+set (:meth:`~repro.search.grid.DesignCandidate.with_policy` labels it
+``{design}|{policy}`` and namespaces its ``key()``), so enumeration,
+memoization, Pareto ranking, SLA selection, and export all apply
+unchanged.  On timed traces the evaluator replays policy-bearing
 candidates with the policy in charge of node power states and per-node
 DVFS (control ticks every ``control_interval_s``); dynamic policies
 cannot share the event-multiplexed loop — control ticks are

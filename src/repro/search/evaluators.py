@@ -44,6 +44,7 @@ from repro.costmodel.model import CostModel
 from repro.errors import ConfigurationError, ModelError, ReproError, SimulationError
 from repro.hardware.cluster import ClusterSpec
 from repro.pstore.planner import plan_join
+from repro.pstore.plans import JoinPlan
 from repro.pstore.simulated import SimulatedPStore, join_shape, trace_jobs
 from repro.search.grid import DesignCandidate
 from repro.simulator.engine import SimulationResult
@@ -126,11 +127,11 @@ class EvaluatedDesign:
     the pre-latency ones.
 
     The ``policy`` / ``gated_node_seconds`` / ``energy_saved_j`` fields
-    describe dynamic cluster control: for a
-    :class:`~repro.policy.candidate.PolicyCandidate` they carry the
-    policy's label and the run's gated node-seconds and energy saved
-    versus keeping every node active-idle; for a bare design candidate
-    all three stay ``None``.
+    describe dynamic cluster control: for a candidate whose ``policy`` is
+    set (:meth:`~repro.search.grid.DesignCandidate.with_policy`) they
+    carry the policy's label and the run's gated node-seconds and energy
+    saved versus keeping every node active-idle; for a bare design
+    candidate all three stay ``None``.
 
     The fault fields are populated only by degraded-mode evaluations
     (the trace was a :class:`~repro.faults.trace.FaultedTrace` with a
@@ -432,25 +433,8 @@ class SimulatorEvaluator(SearchEvaluator):
     def evaluate_query(
         self, candidate: DesignCandidate, query: JoinWorkloadSpec
     ) -> EvaluatedDesign:
-        cluster = candidate.cluster()
-        plan = plan_join(
-            cluster,
-            query,
-            warm_cache=self.warm_cache,
-            pipeline_cpu_cost=self.pipeline_cpu_cost,
-            receive_cpu_cost=self.receive_cpu_cost,
-            force_mode=candidate.mode,
-        )
-        result = SimulatedPStore(cluster, record_intervals=False).run(
-            plan, concurrency=self.concurrency
-        )
-        return self._priced(
-            EvaluatedDesign(
-                candidate=candidate,
-                time_s=result.makespan_s,
-                energy_j=result.energy_j,
-            )
-        )
+        store = SimulatedPStore(candidate.cluster(), record_intervals=False)
+        return self._simulated(candidate, store, query)
 
     def evaluate_query_batch(
         self, candidate: DesignCandidate, queries: Sequence[JoinWorkloadSpec]
@@ -463,33 +447,41 @@ class SimulatorEvaluator(SearchEvaluator):
         store across the batch returns exactly the per-query results.
         """
         get_telemetry().count("evaluator.query_evals", len(queries))
-        cluster = candidate.cluster()
-        store = SimulatedPStore(cluster, record_intervals=False)
+        store = SimulatedPStore(candidate.cluster(), record_intervals=False)
         records = []
         for query in queries:
             try:
-                plan = plan_join(
-                    cluster,
-                    query,
-                    warm_cache=self.warm_cache,
-                    pipeline_cpu_cost=self.pipeline_cpu_cost,
-                    receive_cpu_cost=self.receive_cpu_cost,
-                    force_mode=candidate.mode,
-                )
-                result = store.run(plan, concurrency=self.concurrency)
+                records.append(self._simulated(candidate, store, query))
             except ReproError as exc:
                 records.append(_infeasible_record(candidate, exc))
-                continue
-            records.append(
-                self._priced(
-                    EvaluatedDesign(
-                        candidate=candidate,
-                        time_s=result.makespan_s,
-                        energy_j=result.energy_j,
-                    )
-                )
-            )
         return records
+
+    def _plan(
+        self, cluster: ClusterSpec, candidate: DesignCandidate, query: JoinWorkloadSpec
+    ) -> JoinPlan:
+        """One join's plan on one design, under this evaluator's settings."""
+        return plan_join(
+            cluster,
+            query,
+            warm_cache=self.warm_cache,
+            pipeline_cpu_cost=self.pipeline_cpu_cost,
+            receive_cpu_cost=self.receive_cpu_cost,
+            force_mode=candidate.mode,
+        )
+
+    def _simulated(
+        self, candidate: DesignCandidate, store: SimulatedPStore, query: JoinWorkloadSpec
+    ) -> EvaluatedDesign:
+        """The per-join step: plan, run on the design's store, price."""
+        plan = self._plan(store.cluster, candidate, query)
+        result = store.run(plan, concurrency=self.concurrency)
+        return self._priced(
+            EvaluatedDesign(
+                candidate=candidate,
+                time_s=result.makespan_s,
+                energy_j=result.energy_j,
+            )
+        )
 
     def evaluate_trace(
         self, candidate: DesignCandidate, trace: TimedTrace
@@ -506,11 +498,9 @@ class SimulatorEvaluator(SearchEvaluator):
         delay included).  ``concurrency`` does not apply here: the trace
         itself dictates how many queries are in flight.
 
-        A :class:`~repro.policy.candidate.PolicyCandidate` replays with
-        its control policy in charge of node power states (the ``policy``
-        attribute is the only thing this evaluator inspects beyond the
-        design-candidate surface); anything without one replays exactly
-        as before.
+        A candidate whose ``policy`` is set replays with that control
+        policy in charge of node power states, consulted every
+        ``control_interval_s``; a bare design replays exactly as before.
 
         A :class:`~repro.faults.trace.FaultedTrace` with a non-empty
         schedule replays under fault injection and yields a *degraded*
@@ -525,23 +515,19 @@ class SimulatorEvaluator(SearchEvaluator):
         # power timeline; flat (or no) pricing keeps recording off
         record = self.cost_model is not None and self.cost_model.time_varying
         store = SimulatedPStore(cluster, record_intervals=record)
-        faults = getattr(trace, "faults", None)
-        if faults is not None and getattr(faults, "events", ()):
-            result = store.run_trace(
-                self._trace_schedule(cluster, candidate, trace),
-                policy=getattr(candidate, "policy", None),
-                control_interval_s=getattr(candidate, "control_interval_s", 1.0),
-                faults=faults,
-                failure_policy=trace.failure_policy,
-                layout=trace.layout_for(candidate.num_nodes),
-            )
-            return self._degraded_record(candidate, result)
+        faults = _injected_faults(trace)
+        # the plans before the layout, so a design failing both reports
+        # the same error on every path
+        schedule = self._trace_schedule(cluster, candidate, trace)
         result = store.run_trace(
-            self._trace_schedule(cluster, candidate, trace),
-            policy=getattr(candidate, "policy", None),
-            control_interval_s=getattr(candidate, "control_interval_s", 1.0),
+            schedule,
+            policy=candidate.policy,
+            control_interval_s=candidate.control_interval_s,
+            faults=faults,
+            failure_policy=None if faults is None else trace.failure_policy,
+            layout=None if faults is None else trace.layout_for(candidate.num_nodes),
         )
-        return self._trace_record(candidate, result)
+        return self._timed_record(candidate, result, degraded=faults is not None)
 
     def _trace_schedule(
         self, cluster: ClusterSpec, candidate: DesignCandidate, trace: TimedTrace
@@ -553,14 +539,7 @@ class SimulatorEvaluator(SearchEvaluator):
         for query, start_s in trace.schedule():
             plan = plans.get(query)
             if plan is None:
-                plan = plans[query] = plan_join(
-                    cluster,
-                    query,
-                    warm_cache=self.warm_cache,
-                    pipeline_cpu_cost=self.pipeline_cpu_cost,
-                    receive_cpu_cost=self.receive_cpu_cost,
-                    force_mode=candidate.mode,
-                )
+                plan = plans[query] = self._plan(cluster, candidate, query)
             schedule.append((plan, start_s))
         return schedule
 
@@ -593,55 +572,37 @@ class SimulatorEvaluator(SearchEvaluator):
         result.price_usd = price
         return replace(record, carbon_g=carbon, price_usd=price)
 
-    def _trace_record(
-        self, candidate: DesignCandidate, result: SimulationResult
+    def _timed_record(
+        self, candidate: DesignCandidate, result: SimulationResult, degraded: bool
     ) -> EvaluatedDesign:
         """One stream simulation -> one timed design record.
 
         Policy-bearing candidates get the control annotations (policy
         label, gated node-seconds, energy saved); for a bare design those
-        fields stay ``None`` and the record is bit-identical to before.
+        fields stay ``None``.  A fault-injected run (``degraded``) gives a
+        degraded record: the response-time profile of the surviving jobs
+        goes to ``degraded_latency`` — never ``latency`` — so degraded
+        records are invisible to healthy-SLA selection and vice versa,
+        and the recovery energy, retry/drop counts and faults survived
+        come along.
         """
         responses = [result.response_time_s(name) for name in result.job_completion_s]
-        policy = getattr(candidate, "policy", None)
+        profile = LatencyProfile.from_samples(responses)
+        policy = candidate.policy
+        controlled = policy is not None
         record = EvaluatedDesign(
             candidate=candidate,
             time_s=result.makespan_s,
             energy_j=result.energy_j,
-            latency=LatencyProfile.from_samples(responses),
-            policy=policy.label if policy is not None else None,
-            gated_node_seconds=(
-                result.gated_node_seconds if policy is not None else None
-            ),
-            energy_saved_j=result.energy_saved_j if policy is not None else None,
-        )
-        return self._price_timed(record, result)
-
-    def _degraded_record(
-        self, candidate: DesignCandidate, result: SimulationResult
-    ) -> EvaluatedDesign:
-        """One fault-injected stream simulation -> one degraded record.
-
-        The response-time profile of the surviving jobs goes to
-        ``degraded_latency`` — never ``latency`` — so degraded records
-        are invisible to healthy-SLA selection and vice versa.
-        """
-        responses = [result.response_time_s(name) for name in result.job_completion_s]
-        policy = getattr(candidate, "policy", None)
-        record = EvaluatedDesign(
-            candidate=candidate,
-            time_s=result.makespan_s,
-            energy_j=result.energy_j,
-            degraded_latency=LatencyProfile.from_samples(responses),
-            policy=policy.label if policy is not None else None,
-            gated_node_seconds=(
-                result.gated_node_seconds if policy is not None else None
-            ),
-            energy_saved_j=result.energy_saved_j if policy is not None else None,
-            recovery_energy_j=result.recovery_energy_j,
-            retried_jobs=result.retried_jobs,
-            dropped_jobs=result.dropped_jobs,
-            faults_survived=result.faults_survived,
+            latency=None if degraded else profile,
+            policy=policy.label if controlled else None,
+            gated_node_seconds=result.gated_node_seconds if controlled else None,
+            energy_saved_j=result.energy_saved_j if controlled else None,
+            degraded_latency=profile if degraded else None,
+            recovery_energy_j=result.recovery_energy_j if degraded else None,
+            retried_jobs=result.retried_jobs if degraded else None,
+            dropped_jobs=result.dropped_jobs if degraded else None,
+            faults_survived=result.faults_survived if degraded else None,
         )
         return self._price_timed(record, result)
 
@@ -703,8 +664,8 @@ class SimulatorEvaluator(SearchEvaluator):
         """
         telemetry = get_telemetry()
         telemetry.count("evaluator.trace_evals", len(candidates))
-        faults = getattr(trace, "faults", None)
-        faulted = faults is not None and bool(getattr(faults, "events", ()))
+        faults = _injected_faults(trace)
+        faulted = faults is not None
         model = self.cost_model
         curve = model.carbon_g_per_kwh if model is not None and model.time_varying else None
         records: list[EvaluatedDesign | None] = [None] * len(candidates)
@@ -712,7 +673,7 @@ class SimulatorEvaluator(SearchEvaluator):
         shared_jobs: dict[tuple, list] = {}
         serial = 0
         for position, candidate in enumerate(candidates):
-            policy = getattr(candidate, "policy", None)
+            policy = candidate.policy
             if policy is not None and not policy.is_static:
                 serial += 1
                 records[position] = evaluate_timed_design(self, candidate, trace)
@@ -747,7 +708,7 @@ class SimulatorEvaluator(SearchEvaluator):
                     results = run_multiplexed(
                         [(simulator, jobs) for _, _, simulator, jobs, _ in runs],
                         carbon_curve=curve,
-                        faults=faults if faulted else None,
+                        faults=faults,
                         failure_policy=trace.failure_policy if faulted else None,
                         layouts=[layout for *_, layout in runs] if faulted else None,
                     )
@@ -760,12 +721,11 @@ class SimulatorEvaluator(SearchEvaluator):
                     )
             else:
                 telemetry.count("evaluator.route.multiplexed", len(runs))
-                record_of = self._degraded_record if faulted else self._trace_record
                 for (position, candidate, *_), result in zip(runs, results):
                     records[position] = (
                         _infeasible_record(candidate, result)
                         if isinstance(result, SimulationError)
-                        else record_of(candidate, result)
+                        else self._timed_record(candidate, result, faulted)
                     )
         return records
 
@@ -834,11 +794,23 @@ class CallableEvaluator(SearchEvaluator):
         return ("callable", self._fn)
 
 
+def _injected_faults(trace: TimedTrace):
+    """The trace's fault schedule if it injects any event, else ``None``.
+
+    A plain trace and a :class:`~repro.faults.trace.FaultedTrace` with an
+    empty schedule both replay on the healthy path.
+    """
+    faults = getattr(trace, "faults", None)
+    if faults is None or faults.is_empty:
+        return None
+    return faults
+
+
 def _infeasible_record(
     candidate: DesignCandidate, exc: ReproError
 ) -> EvaluatedDesign:
     """The canonical infeasible record for one failed evaluation."""
-    policy = getattr(candidate, "policy", None)
+    policy = candidate.policy
     return EvaluatedDesign(
         candidate=candidate,
         time_s=float("inf"),

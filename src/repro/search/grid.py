@@ -15,24 +15,27 @@ product of
 
 Each point of the grid is a :class:`DesignCandidate` — a frozen, picklable
 record carrying everything an evaluator needs, plus a deterministic
-:meth:`DesignCandidate.key` used by the evaluation cache.
+:meth:`DesignCandidate.key` used by the evaluation cache.  A candidate
+may also carry a :class:`~repro.policy.policies.ControlPolicy`
+(:meth:`DesignCandidate.with_policy`): the (design x policy) point the
+autoscaling searches rank.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.dvfs import dvfs_variant
 from repro.hardware.node import NodeSpec
+from repro.policy.policies import ControlPolicy
 from repro.pstore.plans import ExecutionMode
-from repro.workloads.protocol import join_cache_key
-from repro.workloads.queries import JoinWorkloadSpec
 
-__all__ = ["DesignCandidate", "DesignGrid", "query_key", "unique_labels"]
+__all__ = ["DesignCandidate", "DesignGrid", "unique_labels"]
 
 
 def _spec_key(spec: NodeSpec) -> tuple:
@@ -96,16 +99,6 @@ def candidate_label(
     return "|".join(parts)
 
 
-def query_key(query: JoinWorkloadSpec) -> tuple:
-    """Deterministic identity of one join spec for cache keys.
-
-    Kept as a re-export shim; the canonical definition lives with the
-    :class:`~repro.workloads.protocol.Workload` protocol
-    (:func:`~repro.workloads.protocol.join_cache_key`).
-    """
-    return join_cache_key(query)
-
-
 @dataclass(frozen=True)
 class DesignCandidate:
     """One point of the design space, ready for evaluation.
@@ -117,6 +110,11 @@ class DesignCandidate:
     0.8 with Wimpies at nominal clock); each defaults to the cluster-wide
     factor.  ``homogeneous`` marks size-sweep points whose cluster should
     be a plain homogeneous spec (no empty Wimpy group).
+
+    ``policy`` puts a :class:`~repro.policy.policies.ControlPolicy` in
+    charge of the design's node power states mid-trace, consulted every
+    ``control_interval_s`` simulated seconds; ``None`` (the default) is
+    the paper's static cluster.  :meth:`with_policy` attaches one.
     """
 
     label: str
@@ -129,6 +127,8 @@ class DesignCandidate:
     homogeneous: bool = False
     beefy_frequency_factor: float | None = None
     wimpy_frequency_factor: float | None = None
+    policy: ControlPolicy | None = None
+    control_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_beefy < 0 or self.num_wimpy < 0:
@@ -147,6 +147,13 @@ class DesignCandidate:
         if self.homogeneous and self.num_wimpy:
             raise ConfigurationError(
                 f"candidate {self.label!r}: homogeneous designs cannot have Wimpies"
+            )
+        if self.policy is not None and not isinstance(self.policy, ControlPolicy):
+            raise ConfigurationError(f"not a control policy: {self.policy!r}")
+        interval = self.control_interval_s
+        if not (math.isfinite(interval) and interval > 0):
+            raise ConfigurationError(
+                f"control interval must be finite and > 0, got {interval}"
             )
 
     # ------------------------------------------------------------- derived
@@ -196,14 +203,38 @@ class DesignCandidate:
             name=self.label,
         )
 
+    def with_policy(
+        self, policy: ControlPolicy, control_interval_s: float = 1.0
+    ) -> "DesignCandidate":
+        """This design under ``policy``, labeled ``{design}|{policy}``.
+
+        The engine may relabel the result on collisions (``label`` is a
+        plain field); identity always flows through :meth:`key`.
+        """
+        if self.policy is not None:
+            raise ConfigurationError(
+                f"candidate {self.label!r} already carries a policy"
+            )
+        if not isinstance(policy, ControlPolicy):
+            raise ConfigurationError(f"not a control policy: {policy!r}")
+        return replace(
+            self,
+            label=f"{self.label}|{policy.label}",
+            policy=policy,
+            control_interval_s=control_interval_s,
+        )
+
     def key(self) -> tuple:
         """Deterministic cache key (independent of the display label).
 
         DVFS enters via the *resolved* per-type frequencies, so a
         cluster-wide factor and the equivalent pair of per-type overrides
-        share one cache entry — they describe the same hardware.
+        share one cache entry — they describe the same hardware.  A
+        policy-bearing candidate's key is namespaced (``("policy", ...)``),
+        so it can never collide with — nor be served from — a design-only
+        cache row, in either direction.
         """
-        return (
+        design = (
             _spec_key(self.beefy),
             _spec_key(self.wimpy),
             self.num_beefy,
@@ -213,6 +244,9 @@ class DesignCandidate:
             self.mode.value if self.mode is not None else None,
             self.homogeneous,
         )
+        if self.policy is None:
+            return design
+        return ("policy", design, self.policy.cache_key(), self.control_interval_s)
 
 
 @dataclass(frozen=True)

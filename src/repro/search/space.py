@@ -34,6 +34,11 @@ neighborhood move), and finite spaces still offer
 :meth:`SearchSpace.candidate_list` so exhaustive baselines stay
 available.  All randomness flows through a caller-provided
 :class:`random.Random`, so seeded optimizer runs are reproducible.
+
+``policies=`` adds one more axis, the control policy: every candidate
+the space enumerates, samples or mutates then carries one of them
+(:meth:`~repro.search.grid.DesignCandidate.with_policy`), and a policy
+step is one more neighborhood move.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hardware.node import NodeSpec
+from repro.policy.policies import ControlPolicy
 from repro.pstore.plans import ExecutionMode
 from repro.search.grid import DesignCandidate, DesignGrid, candidate_label
 
@@ -165,9 +171,10 @@ class SearchSpace:
     enumeration so every sampled candidate is a grid point.
 
     ``policies`` adds a control-policy dimension: every enumerated,
-    sampled, or mutated design is wrapped into a (design x policy)
-    :class:`~repro.policy.candidate.PolicyCandidate`, making autoscaling
-    thresholds part of the searched object alongside node mix and DVFS.
+    sampled, or mutated design carries one of them
+    (:meth:`~repro.search.grid.DesignCandidate.with_policy`, at this
+    space's ``control_interval_s``), making autoscaling thresholds part
+    of the searched object alongside node mix and DVFS.
     """
 
     def __init__(
@@ -233,10 +240,6 @@ class SearchSpace:
         """Validated policy dimension (``None`` for design-only spaces)."""
         if policies is None:
             return None
-        # Deferred import: repro.policy wraps design candidates from this
-        # package, so a module-level import would be circular.
-        from repro.policy.policies import ControlPolicy
-
         values = tuple(policies)
         for policy in values:
             if not isinstance(policy, ControlPolicy):
@@ -262,8 +265,7 @@ class SearchSpace:
         later exhaustive sweep of ``grid`` (and vice versa).
 
         ``policies`` crosses the grid with a policy dimension: every
-        point becomes a (design x policy)
-        :class:`~repro.policy.candidate.PolicyCandidate`.
+        point comes once per policy, as a (design x policy) candidate.
         """
         return cls(
             policies=policies,
@@ -443,7 +445,7 @@ class SearchSpace:
         """
         if self._candidates is not None:
             return self.sample(rng)
-        design = getattr(candidate, "design", candidate)
+        design = _without_policy(candidate)
         dimensions = self._mutable_dimensions(design)
         if self.policy_axis is not None and self.policy_axis.is_varied:
             dimensions.append("policy")
@@ -451,7 +453,7 @@ class SearchSpace:
             return self._rewrap(design, candidate)
         dimension = dimensions[rng.randrange(len(dimensions))]
         if dimension == "policy":
-            current = getattr(candidate, "policy", None)
+            current = candidate.policy
             if current is None:  # a bare design entering a policy space
                 current = self.policy_axis.values[0]
             return self._wrap(design, self.policy_axis.mutate(current, rng))
@@ -590,26 +592,19 @@ class SearchSpace:
             wimpy_frequency_factor=wphi,
         )
 
-    def _wrap(self, design: DesignCandidate, policy):
+    def _wrap(
+        self, design: DesignCandidate, policy: ControlPolicy
+    ) -> DesignCandidate:
         """One (design x policy) candidate at this space's tick interval."""
-        from repro.policy.candidate import PolicyCandidate
+        return design.with_policy(policy, self.control_interval_s)
 
-        if getattr(design, "policy", None) is not None:
-            raise ConfigurationError(
-                f"candidate {design.label!r} already carries a policy; a "
-                "space with a policy axis needs bare design candidates"
-            )
-        return PolicyCandidate(
-            design=design,
-            policy=policy,
-            control_interval_s=self.control_interval_s,
-        )
-
-    def _rewrap(self, design: DesignCandidate, original):
+    def _rewrap(
+        self, design: DesignCandidate, original: DesignCandidate
+    ) -> DesignCandidate:
         """Re-attach ``original``'s policy after a design-axis move."""
         if self.policy_axis is None:
             return design
-        policy = getattr(original, "policy", None)
+        policy = original.policy
         if policy is None:  # a bare design entering a policy space
             policy = self.policy_axis.values[0]
         return self._wrap(design, policy)
@@ -628,12 +623,7 @@ class SearchSpace:
             candidates=(
                 None
                 if self._candidates is None
-                else [
-                    c.with_mode(mode)
-                    if hasattr(c, "with_mode")
-                    else replace(c, mode=mode)
-                    for c in self._candidates
-                ]
+                else [replace(c, mode=mode) for c in self._candidates]
             ),
             policies=None if self.policy_axis is None else self.policy_axis.values,
             control_interval_s=self.control_interval_s,
@@ -674,3 +664,23 @@ class SearchSpace:
                     f"{'[0, 1]' if closed_low else '(0, 1]'}: "
                     f"[{axis.low}, {axis.high}]"
                 )
+
+
+def _without_policy(candidate: DesignCandidate) -> DesignCandidate:
+    """The design a policy-bearing candidate was built from.
+
+    Undoes :meth:`~repro.search.grid.DesignCandidate.with_policy`: the
+    policy goes, and the label loses its ``|{policy}`` part along with
+    any collision suffix the engine appended after it.
+    """
+    if candidate.policy is None:
+        return candidate
+    design_label, separator, _ = candidate.label.rpartition(
+        f"|{candidate.policy.label}"
+    )
+    return replace(
+        candidate,
+        label=design_label if separator else candidate.label,
+        policy=None,
+        control_interval_s=1.0,
+    )

@@ -680,8 +680,8 @@ class ClusterSimulator:
                     "control interval must be finite and > 0, got "
                     f"{control_interval_s}"
                 )
-            # Imported here, not at module top: repro.policy.candidate
-            # pulls in the search package, which imports this module.
+            # Imported here, not at module top: repro.policy.policies
+            # imports this module (for the node-state names).
             from repro.policy.policies import (
                 ClusterState,
                 GateNode,

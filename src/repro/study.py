@@ -267,14 +267,7 @@ class Study:
         else:
             candidates = list(self._space)
         if self._mode is not None:
-            # PolicyCandidates delegate mode through with_mode (mode is a
-            # property there, not a replace()-able field).
-            candidates = [
-                c.with_mode(self._mode)
-                if hasattr(c, "with_mode")
-                else replace(c, mode=self._mode)
-                for c in candidates
-            ]
+            candidates = [replace(c, mode=self._mode) for c in candidates]
         return candidates
 
     def search_space(self) -> SearchSpace:
@@ -507,16 +500,7 @@ class StudyResult:
         Bit-identical to the legacy sweep outputs: same labels, same
         times, same energies, in the same (enumeration) order.
         """
-        points = [
-            DesignPoint(
-                label=evaluated.label,
-                cluster=evaluated.candidate.cluster(),
-                time_s=evaluated.time_s,
-                energy_j=evaluated.energy_j,
-                prediction=evaluated.prediction,
-            )
-            for evaluated in self.feasible_points
-        ]
+        points = [DesignPoint.from_record(evaluated) for evaluated in self.feasible_points]
         if not points:
             raise ModelError(
                 f"no feasible design for {self.workload.name!r}"

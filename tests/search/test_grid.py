@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
 from repro.pstore.plans import ExecutionMode
-from repro.search.grid import DesignCandidate, DesignGrid, query_key, unique_labels
+from repro.search.grid import DesignCandidate, DesignGrid, unique_labels
+from repro.workloads.protocol import join_cache_key
 from repro.workloads.queries import section54_join
 
 
@@ -223,5 +224,5 @@ class TestDesignCandidate:
 
 
 def test_query_key_distinguishes_workloads():
-    assert query_key(section54_join()) == query_key(section54_join())
-    assert query_key(section54_join(0.10)) != query_key(section54_join(0.05))
+    assert join_cache_key(section54_join()) == join_cache_key(section54_join())
+    assert join_cache_key(section54_join(0.10)) != join_cache_key(section54_join(0.05))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
-from repro.policy import PolicyCandidate, PowerGatePolicy, StaticPolicy
+from repro.policy import PowerGatePolicy, StaticPolicy
 from repro.search import (
     DesignGrid,
     DesignSpaceSearch,
@@ -86,7 +86,7 @@ class TestStudyOverPolicySpace:
         bare = DesignSpaceSearch(evaluator=evaluator).search(GRID, trace)
         wrapped = DesignSpaceSearch(evaluator=evaluator).search(
             [
-                PolicyCandidate(design=design, policy=StaticPolicy())
+                design.with_policy(StaticPolicy())
                 for design in GRID.candidate_list()
             ],
             trace,
@@ -168,14 +168,10 @@ class TestDispatchParity:
         designs = GRID.candidate_list()[:2]
         mixed = [
             designs[0],
-            PolicyCandidate(design=designs[0], policy=StaticPolicy()),
-            PolicyCandidate(
-                design=designs[0], policy=policies()[1], control_interval_s=0.5
-            ),
+            designs[0].with_policy(StaticPolicy()),
+            designs[0].with_policy(policies()[1], 0.5),
             designs[1],
-            PolicyCandidate(
-                design=designs[1], policy=policies()[1], control_interval_s=0.5
-            ),
+            designs[1].with_policy(policies()[1], 0.5),
         ]
         batch = evaluator.evaluate_trace_batch(trace, mixed)
         serial = [

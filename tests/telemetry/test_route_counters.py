@@ -15,7 +15,7 @@ from repro.errors import SimulationError
 from repro.faults import FailurePolicy, FaultSchedule, NodeCrash, Straggler
 from repro.hardware.powerstate import PowerStateModel
 from repro.hardware.presets import CLUSTER_V_NODE, WIMPY_LAPTOP_B
-from repro.policy import PolicyCandidate, PowerGatePolicy, StaticPolicy
+from repro.policy import PowerGatePolicy, StaticPolicy
 from repro.search import DesignGrid, SimulatorEvaluator
 from repro.search import evaluators
 from repro.search.evaluators import evaluate_timed_design
@@ -62,10 +62,10 @@ def test_mixed_batch_counts_each_candidate_once():
     curve: only the dynamic policies leave the loop."""
     batch = [
         DESIGNS[0],
-        PolicyCandidate(design=DESIGNS[0], policy=StaticPolicy()),
-        PolicyCandidate(design=DESIGNS[1], policy=GATE, control_interval_s=0.5),
+        DESIGNS[0].with_policy(StaticPolicy()),
+        DESIGNS[1].with_policy(GATE, 0.5),
         DESIGNS[2],
-        PolicyCandidate(design=DESIGNS[3], policy=GATE, control_interval_s=0.5),
+        DESIGNS[3].with_policy(GATE, 0.5),
         DESIGNS[3],
     ]
     assert routes(SimulatorEvaluator(cost_model=CARBON), trace(), batch) == {
@@ -103,8 +103,8 @@ def test_mixed_faulted_batch():
     """Under faults too, only the dynamic policies leave the loop."""
     batch = [
         DESIGNS[0],
-        PolicyCandidate(design=DESIGNS[1], policy=StaticPolicy()),
-        PolicyCandidate(design=DESIGNS[2], policy=GATE, control_interval_s=0.5),
+        DESIGNS[1].with_policy(StaticPolicy()),
+        DESIGNS[2].with_policy(GATE, 0.5),
         DESIGNS[3],
     ]
     assert routes(SimulatorEvaluator(), faulted_trace(), batch) == {

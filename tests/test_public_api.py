@@ -60,7 +60,6 @@ def test_quickstart_docstring_workflow():
         "repro.costmodel.model",
         "repro.policy",
         "repro.policy.policies",
-        "repro.policy.candidate",
         "repro.pstore",
         "repro.pstore.operators",
         "repro.pstore.planner",
